@@ -1,12 +1,11 @@
-// Multithreaded profiling-fault throughput: per-thread single-step slots vs.
-// the v1 serialized engine.
+// Multithreaded profiling-fault throughput with per-thread single-step
+// slots.
 //
 // Each worker hammers its own protected page, so every store takes the full
 // fault path (SIGSEGV -> classify -> allow-once -> single-step -> SIGTRAP ->
-// reprotect). Under the serialized engine every thread contends for the one
-// global step slot and the whole process services faults one at a time; with
-// per-thread slots the steps overlap. Reported per thread count: aggregate
-// faults/sec for both modes and the speedup.
+// reprotect). With per-thread slots the steps overlap. Reported per thread
+// count: aggregate faults/sec. EXPERIMENTS.md keeps the last comparison
+// against the retired v1 serialized slot.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -28,8 +27,7 @@ constexpr int kFaultsPerThread = 2000;
 // open windows and skip faults.
 constexpr uintptr_t kStridePages = 2;
 
-double MeasureFaultsPerSec(StepSlotMode mode, int threads) {
-  FaultSignalEngine::SetStepSlotMode(mode);
+double MeasureFaultsPerSec(int threads) {
   MprotectMpkBackend backend;
   auto region = VmRegion::Reserve(threads * kStridePages * kPageSize);
   if (!region.ok()) {
@@ -93,26 +91,16 @@ int main() {
   using namespace pkrusafe;  // NOLINT: bench brevity
   SetCurrentThreadPkru(PkruValue::AllowAll());
 
-  std::printf("# Profiling-fault throughput: per-thread step slots vs. serialized engine\n");
-  std::printf("%-8s %18s %18s %10s\n", "threads", "serial(faults/s)", "perthread(faults/s)",
-              "speedup");
+  std::printf("# Profiling-fault throughput: per-thread step slots\n");
+  std::printf("%-8s %20s\n", "threads", "perthread(faults/s)");
 
-  // Warmup both paths.
-  (void)MeasureFaultsPerSec(StepSlotMode::kSerializedGlobal, 1);
-  (void)MeasureFaultsPerSec(StepSlotMode::kPerThread, 1);
+  (void)MeasureFaultsPerSec(1);  // warmup
 
   bench::BenchJsonWriter out("fault_mt");
   for (const int threads : {1, 2, 4, 8}) {
-    const double serialized = MeasureFaultsPerSec(StepSlotMode::kSerializedGlobal, threads);
-    const double perthread = MeasureFaultsPerSec(StepSlotMode::kPerThread, threads);
-    std::printf("%-8d %18.0f %18.0f %9.2fx\n", threads, serialized, perthread,
-                perthread / serialized);
-    const std::string suffix = "/threads:" + std::to_string(threads);
-    out.Add("serialized_faults_per_sec" + suffix, serialized, "faults/s");
-    out.Add("perthread_faults_per_sec" + suffix, perthread, "faults/s");
-    out.Add("speedup" + suffix, perthread / serialized, "x");
+    const double perthread = MeasureFaultsPerSec(threads);
+    std::printf("%-8d %20.0f\n", threads, perthread);
+    out.Add("perthread_faults_per_sec/threads:" + std::to_string(threads), perthread, "faults/s");
   }
-  FaultSignalEngine::SetStepSlotMode(StepSlotMode::kPerThread);
-  std::printf("\n# acceptance: perthread >= 3x serialized at 8 threads.\n");
   return out.Write() ? 0 : 1;
 }

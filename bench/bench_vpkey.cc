@@ -109,19 +109,19 @@ __attribute__((noinline)) PkruValue LegacyPolicyFor(const LegacyCompartment& mc,
   return pkru;
 }
 
+// Both arms cross through the shared CompartmentStack routine, so the
+// comparison isolates the mask composition.
 __attribute__((noinline)) void LegacyEnter(LegacyCompartment& mc, LibraryId library) {
   PS_CHECK_GE(library, 1u);
-  const PkruValue saved = mc.backend->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
+  CompartmentStack::Enter(mc.backend, Domain::kUntrusted,
+                          CrossingRights::Exactly(LegacyPolicyFor(mc, library)),
+                          /*verify=*/true);
   ++mc.transitions;
-  mc.backend->WritePkru(LegacyPolicyFor(mc, library));
 }
 
 __attribute__((noinline)) void LegacyExit(LegacyCompartment& mc) {
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced library transitions";
+  CompartmentStack::Exit(mc.backend, Domain::kUntrusted, /*verify=*/true);
   ++mc.transitions;
-  mc.backend->WritePkru(frame.saved_pkru);
 }
 
 double MeasureLegacyNs() {

@@ -291,7 +291,8 @@ run_gateintegrity() {
   # cross-checked against the explicit-gate module's IR inventory.
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" \
-    --target pkrusafe_lint pkrusafe_run msrun analysis_test gate_agreement_test
+    --target pkrusafe_lint pkrusafe_run pkrusafe_serve msrun analysis_test \
+    gate_agreement_test
   local lint=build/tools/pkrusafe_lint
   for ir in examples/ir/*.ir; do
     echo "-- prove: $ir"
@@ -309,6 +310,7 @@ run_gateintegrity() {
   echo "-- check-binary: built tools vs IR gate inventory"
   "$lint" check-binary build/tools/pkrusafe_run examples/ir/explicit_gates.ir
   "$lint" check-binary build/tools/msrun
+  "$lint" check-binary build/tools/pkrusafe_serve
   ctest --test-dir build --output-on-failure \
     -R 'PkruFlow|GateIntegrity|Sarif|GateAgreement|tool_lint_check_binary'
   echo "gateintegrity check OK"

@@ -18,9 +18,9 @@
 // Concurrency (v2): the pending-step state is per-thread (TLS), so N threads
 // single-step independently and a single instruction that faults on two
 // protected pages (e.g. movsq with both operands tagged) appends a second
-// pending fault to the same step instead of deadlocking against itself. The
-// v1 process-global serialized slot survives only as an A/B mode for the
-// bench_fault_mt comparison.
+// pending fault to the same step instead of deadlocking against itself
+// (EXPERIMENTS.md records the throughput against the retired v1
+// process-global slot).
 //
 // Only one engine can be installed at a time; installation is idempotent.
 #ifndef SRC_MPK_FAULT_SIGNAL_H_
@@ -56,15 +56,6 @@ class FaultSignalDelegate {
   virtual void Reprotect(const MpkFault& fault) = 0;
 };
 
-// How concurrent single-steps are slotted. kPerThread is the production
-// engine; kSerializedGlobal replicates the v1 process-global slot (one
-// in-flight step, everyone else spin-waits) so bench_fault_mt can measure
-// the speedup against it.
-enum class StepSlotMode : uint8_t {
-  kPerThread = 0,
-  kSerializedGlobal = 1,
-};
-
 // Per-thread fault-service totals, exported for --stats and tests.
 struct ThreadFaultStats {
   uint64_t tid = 0;
@@ -86,11 +77,6 @@ class FaultSignalEngine {
 
   // Count of MPK faults serviced (single-stepped) since Install.
   static uint64_t serviced_fault_count();
-
-  // Selects the step-slot engine. Only bench/test code should ever switch
-  // away from kPerThread; switching while faults are in flight is undefined.
-  static void SetStepSlotMode(StepSlotMode mode);
-  static StepSlotMode step_slot_mode();
 
   // Faults appended to an already-active step on the same thread (one
   // instruction touching two protected pages).

@@ -85,23 +85,35 @@ bool HardwareMpkBackend::IsSupported() {
 #endif
 }
 
-HardwareMpkBackend::~HardwareMpkBackend() { UninstallSignalHandlers(); }
+HardwareMpkBackend::~HardwareMpkBackend() {
+  UninstallSignalHandlers();
+  for (PkeyId key = 1; key < kNumPkeys; ++key) {
+    if ((held_keys_ & (1u << key)) != 0) {
+      (void)PkeyFree(key);
+    }
+  }
+}
 
 Result<PkeyId> HardwareMpkBackend::AllocateKey() {
   const long key = PkeyAlloc();
   if (key < 0) {
     return UnavailableError("pkey_alloc failed (no MPK support or keys exhausted)");
   }
+  std::lock_guard lock(key_mutex_);
+  held_keys_ |= 1u << key;
   return static_cast<PkeyId>(key);
 }
 
 Status HardwareMpkBackend::FreeKey(PkeyId key) {
-  if (key == kDefaultPkey) {
-    return InvalidArgumentError("FreeKey of the default key");
+  std::lock_guard lock(key_mutex_);
+  if (key == kDefaultPkey || key >= kNumPkeys || (held_keys_ & (1u << key)) == 0) {
+    return InvalidArgumentError(
+        StrFormat("FreeKey(%u): key not held (never allocated here, or already freed)", key));
   }
   if (PkeyFree(key) != 0) {
     return InternalError(StrFormat("pkey_free(%u) failed", key));
   }
+  held_keys_ &= ~(1u << key);
   return Status::Ok();
 }
 

@@ -26,6 +26,9 @@ class HardwareMpkBackend final : public MpkBackend, public FaultSignalDelegate {
   static bool IsSupported();
 
   HardwareMpkBackend() = default;
+  // Returns every key this backend allocated and has not freed. The owner
+  // must unmap the memory tagged with those keys first: a freed key can be
+  // handed out again, and its new owner's rights would reach stale pages.
   ~HardwareMpkBackend() override;
 
   std::string_view name() const override { return "hardware"; }
@@ -78,6 +81,11 @@ class HardwareMpkBackend final : public MpkBackend, public FaultSignalDelegate {
   std::vector<std::unique_ptr<FaultHandlerFn>> retired_handlers_;
 
   LatchedPageSet latched_;
+
+  // Bit i set: key i came from this backend's pkey_alloc and has not been
+  // freed. FreeKey rejects every other key.
+  std::mutex key_mutex_;
+  uint32_t held_keys_ = 0;
 };
 
 }  // namespace pkrusafe

@@ -221,21 +221,18 @@ void MultiCompartment::EnterLibrary(LibraryId library) {
     PS_CHECK(pinned.ok()) << "EnterLibrary(" << library << "): " << pinned.status().ToString();
     mask = *pinned;
   }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
+  CompartmentStack::Enter(backend_, Domain::kUntrusted, CrossingRights::Exactly(*mask),
+                          /*verify=*/true);
   transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
-  backend_->WritePkru(*mask);
 }
 
 void MultiCompartment::ExitLibrary() {
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced library transitions";
-  transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
   // Restore the caller's rights first, then drop the pin: the key must stay
   // bound to its slot for as long as any installed PKRU can refer to it.
-  backend_->WritePkru(frame.saved_pkru);
+  CompartmentStack::Exit(backend_, Domain::kUntrusted, /*verify=*/true);
+  transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
   vpkeys_->UnpinFast();
 }
 

@@ -131,7 +131,9 @@ class MultiCompartment {
   // --- transitions ---
   // Enters `library`'s compartment: faults its virtual key in if evicted,
   // pins it for the scope, and installs a PKRU that allows only key 0 and
-  // the library's hardware slot. Balanced by ExitLibrary; nesting across
+  // the library's hardware slot. The crossing is the call gates' own
+  // routine (CompartmentStack::Enter/Exit): verified and traced the same
+  // way. Balanced by ExitLibrary; nesting across
   // different libraries is allowed (each level holds a pin, so nesting
   // depth across distinct libraries is bounded by the hardware slot count)
   // and restores exactly.

@@ -14,7 +14,7 @@ struct StackStorage {
 
 thread_local StackStorage tls_stack;
 
-// Per-crossing PKRU-write latency, pooled across every GateSet. Transition
+// Per-crossing PKRU-write latency, pooled across every crossing. Transition
 // *counts* stay in the per-GateSet atomics (the source of truth Tables 1-2
 // read); the runtime mirrors those into the registry as callback gauges.
 telemetry::Histogram* CrossingHistogram() {
@@ -23,10 +23,21 @@ telemetry::Histogram* CrossingHistogram() {
   return histogram;
 }
 
-constexpr uint8_t kDirToUntrusted =
-    static_cast<uint8_t>(telemetry::TraceDirection::kTrustedToUntrusted);
-constexpr uint8_t kDirToTrusted =
-    static_cast<uint8_t>(telemetry::TraceDirection::kUntrustedToTrusted);
+uint8_t DirectionCode(bool into_untrusted) {
+  return static_cast<uint8_t>(into_untrusted ? telemetry::TraceDirection::kTrustedToUntrusted
+                                             : telemetry::TraceDirection::kUntrustedToTrusted);
+}
+
+// The crossing's one PKRU write.
+void Install(MpkBackend* backend, PkruValue target, bool verify) {
+  backend->WritePkru(target);
+  if (verify) {
+    const PkruValue actual = backend->ReadPkru();
+    PS_CHECK(actual == target) << "call gate PKRU verification failed: wrote "
+                               << target.ToString() << " but register holds "
+                               << actual.ToString();
+  }
+}
 
 }  // namespace
 
@@ -49,99 +60,43 @@ Domain CompartmentStack::CurrentDomain() {
   return stack.depth == 0 ? Domain::kTrusted : stack.frames[stack.depth - 1].entered;
 }
 
-void GateSet::WriteAndMaybeVerify(PkruValue target) {
-  backend_->WritePkru(target);
-  if (verify_) {
-    const PkruValue actual = backend_->ReadPkru();
-    PS_CHECK(actual == target) << "call gate PKRU verification failed: wrote "
-                               << target.ToString() << " but register holds "
-                               << actual.ToString();
-  }
-}
+// The trace events are recorded in the traced branches here, not in
+// Install, so the disabled path pays exactly one telemetry::Enabled() check
+// per crossing (the cost contract bench_callgate_micro verifies).
 
-// The PKRU-write trace event is recorded by the traced branches below, not
-// here, so the disabled path pays exactly one telemetry::Enabled() check per
-// crossing (the cost contract bench_callgate_micro verifies).
-
-void GateSet::EnterUntrusted() {
-  if (!enabled_) {
-    return;
-  }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
-  to_untrusted_.fetch_add(1, std::memory_order_relaxed);
-  const PkruValue target = saved.WithAccessDisabled(trusted_key_);
+void CompartmentStack::Enter(MpkBackend* backend, Domain entered, CrossingRights rights,
+                             bool verify) {
+  const PkruValue saved = backend->ReadPkru();
+  Push({saved, entered});
+  const PkruValue target = rights.ApplyTo(saved);
   if (telemetry::Enabled()) [[unlikely]] {
     const uint64_t t0 = telemetry::NowNs();
-    telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter, kDirToUntrusted,
-                             CompartmentStack::Depth(), target.raw());
-    WriteAndMaybeVerify(target);
+    telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter,
+                             DirectionCode(entered == Domain::kUntrusted), Depth(), target.raw());
+    Install(backend, target, verify);
     telemetry::RecordEvent(telemetry::TraceEventType::kPkruWrite, 0, target.raw());
     CrossingHistogram()->Observe(telemetry::NowNs() - t0);
   } else {
-    WriteAndMaybeVerify(target);
+    Install(backend, target, verify);
   }
 }
 
-void GateSet::ExitUntrusted() {
-  if (!enabled_) {
-    return;
-  }
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced compartment transitions";
-  to_trusted_.fetch_add(1, std::memory_order_relaxed);
+void CompartmentStack::Exit(MpkBackend* backend, Domain expected, bool verify) {
+  const Frame frame = Pop();
+  PS_CHECK(frame.entered == expected) << "unbalanced compartment transitions";
   if (telemetry::Enabled()) [[unlikely]] {
     const uint64_t t0 = telemetry::NowNs();
-    WriteAndMaybeVerify(frame.saved_pkru);
+    Install(backend, frame.saved_pkru, verify);
     const uint64_t t1 = telemetry::NowNs();
     CrossingHistogram()->Observe(t1 - t0);
     telemetry::RecordEventAt(t1, telemetry::TraceEventType::kPkruWrite, 0,
                              frame.saved_pkru.raw());
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit, kDirToTrusted,
-                             CompartmentStack::Depth(), frame.saved_pkru.raw());
-  } else {
-    WriteAndMaybeVerify(frame.saved_pkru);
-  }
-}
-
-void GateSet::EnterTrusted() {
-  if (!enabled_) {
-    return;
-  }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kTrusted});
-  to_trusted_.fetch_add(1, std::memory_order_relaxed);
-  const PkruValue target = saved.WithKeyAllowed(trusted_key_);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter, kDirToTrusted,
-                             CompartmentStack::Depth(), target.raw());
-    WriteAndMaybeVerify(target);
-    telemetry::RecordEvent(telemetry::TraceEventType::kPkruWrite, 0, target.raw());
-    CrossingHistogram()->Observe(telemetry::NowNs() - t0);
-  } else {
-    WriteAndMaybeVerify(target);
-  }
-}
-
-void GateSet::ExitTrusted() {
-  if (!enabled_) {
-    return;
-  }
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kTrusted) << "unbalanced compartment transitions";
-  to_untrusted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    WriteAndMaybeVerify(frame.saved_pkru);
-    const uint64_t t1 = telemetry::NowNs();
-    CrossingHistogram()->Observe(t1 - t0);
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kPkruWrite, 0,
+    // The return crossing runs opposite to the one that pushed the frame.
+    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit,
+                             DirectionCode(expected != Domain::kUntrusted), Depth(),
                              frame.saved_pkru.raw());
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit, kDirToUntrusted,
-                             CompartmentStack::Depth(), frame.saved_pkru.raw());
   } else {
-    WriteAndMaybeVerify(frame.saved_pkru);
+    Install(backend, frame.saved_pkru, verify);
   }
 }
 

@@ -4,9 +4,14 @@
 // thread first drops its right to access M_T, and restores the previous
 // rights when execution returns. Rights are not assumed — they are kept on a
 // per-thread compartment stack so nested and re-entrant transitions restore
-// exactly what was in force before the call. Each gate verifies that the
-// PKRU value it installed actually took effect and aborts on mismatch,
-// mirroring the paper's WRPKRU call-gate stubs.
+// exactly what was in force before the call.
+//
+// Every crossing in the system — the four GateSet transitions below and
+// MultiCompartment's library scopes — goes through one routine,
+// CompartmentStack::Enter / CompartmentStack::Exit: save the caller's PKRU
+// on the stack, install the new rights, verify that the written value took
+// effect (aborting on mismatch, mirroring the paper's WRPKRU call-gate
+// stubs), and on exit restore exactly what was saved.
 //
 // Transitions are counted per direction (T->U and U->T); the evaluation's
 // "Transitions" columns (Tables 1-2) come from these counters, and the
@@ -24,9 +29,31 @@
 
 namespace pkrusafe {
 
+// The rights a crossing installs, as an edit of the caller's saved PKRU:
+// target = (saved & ~clear) | set. A call gate flips the trusted key and
+// keeps every other right the caller had; a library crossing replaces the
+// whole register with the library's mask.
+struct CrossingRights {
+  uint32_t clear = 0;
+  uint32_t set = 0;
+
+  static constexpr CrossingRights DenyKey(PkeyId key) {
+    return {0, PkruValue().WithAccessDisabled(key).raw()};
+  }
+  static constexpr CrossingRights AllowKey(PkeyId key) {
+    return {PkruValue().WithAccessDisabled(key).WithWriteDisabled(key).raw(), 0};
+  }
+  static constexpr CrossingRights Exactly(PkruValue mask) { return {~0u, mask.raw()}; }
+
+  constexpr PkruValue ApplyTo(PkruValue saved) const {
+    return PkruValue((saved.raw() & ~clear) | set);
+  }
+};
+
 // Per-thread stack of saved PKRU values + the domain the thread is running
-// in. Depth is bounded; the paper observed deeply nested transition stacks in
-// Servo's dom benchmarks, so the bound is generous.
+// in, and the one crossing routine that pushes and pops it. Depth is
+// bounded; the paper observed deeply nested transition stacks in Servo's dom
+// benchmarks, so the bound is generous.
 class CompartmentStack {
  public:
   static constexpr size_t kMaxDepth = 512;
@@ -36,10 +63,19 @@ class CompartmentStack {
     Domain entered;
   };
 
-  static void Push(Frame frame);
-  static Frame Pop();
+  // Enters `entered`: saves the current PKRU, installs `rights` applied to
+  // it and (when `verify`) checks the register holds the new value.
+  static void Enter(MpkBackend* backend, Domain entered, CrossingRights rights, bool verify);
+  // Leaves the innermost crossing, which must have entered `expected`, and
+  // restores (and verifies) the PKRU it saved.
+  static void Exit(MpkBackend* backend, Domain expected, bool verify);
+
   static size_t Depth();
   static Domain CurrentDomain();  // kTrusted when the stack is empty
+
+ private:
+  static void Push(Frame frame);
+  static Frame Pop();
 };
 
 class GateSet {
@@ -53,12 +89,34 @@ class GateSet {
   GateSet& operator=(const GateSet&) = delete;
 
   // T -> U: revoke access to M_T for this thread.
-  void EnterUntrusted();
-  void ExitUntrusted();
+  void EnterUntrusted() {
+    if (enabled_) {
+      to_untrusted_.fetch_add(1, std::memory_order_relaxed);
+      CompartmentStack::Enter(backend_, Domain::kUntrusted,
+                              CrossingRights::DenyKey(trusted_key_), verify_);
+    }
+  }
+  void ExitUntrusted() {
+    if (enabled_) {
+      to_trusted_.fetch_add(1, std::memory_order_relaxed);
+      CompartmentStack::Exit(backend_, Domain::kUntrusted, verify_);
+    }
+  }
 
   // U -> T (callback / exported API): re-enable access to M_T.
-  void EnterTrusted();
-  void ExitTrusted();
+  void EnterTrusted() {
+    if (enabled_) {
+      to_trusted_.fetch_add(1, std::memory_order_relaxed);
+      CompartmentStack::Enter(backend_, Domain::kTrusted,
+                              CrossingRights::AllowKey(trusted_key_), verify_);
+    }
+  }
+  void ExitTrusted() {
+    if (enabled_) {
+      to_untrusted_.fetch_add(1, std::memory_order_relaxed);
+      CompartmentStack::Exit(backend_, Domain::kTrusted, verify_);
+    }
+  }
 
   // Runs `fn` inside the untrusted compartment. Exception-safe: defined
   // below on top of UntrustedScope, so a throwing callable still unwinds
@@ -101,8 +159,6 @@ class GateSet {
   PkeyId trusted_key() const { return trusted_key_; }
 
  private:
-  void WriteAndMaybeVerify(PkruValue target);
-
   MpkBackend* backend_;
   PkeyId trusted_key_;
   bool verify_ = true;

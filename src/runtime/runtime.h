@@ -215,6 +215,9 @@ class PkruSafeRuntime {
   // Shared sites of the policy the runtime was CREATED with (the loaded
   // baseline profile). ApplyDemotions refuses to demote these.
   std::unordered_set<AllocId, AllocIdHasher> baseline_shared_;
+  // Declared before every member that owns tagged memory: members die in
+  // reverse order, so the allocator's arenas are unmapped before the
+  // backend returns their keys.
   std::unique_ptr<MpkBackend> backend_;
   std::unique_ptr<PkAllocator> allocator_;
   std::unique_ptr<GateSet> gates_;

@@ -291,13 +291,19 @@ void SandboxServer::ServeConnection(int fd) {
 }
 
 std::string SandboxServer::HandleRequestLine(const std::string& line) {
-  auto reject = [&](const std::string& error) {
+  // Counts a rejection and renders its response. A request its tenant's
+  // session refused echoes the tenant and reports it dead.
+  auto reject = [&](const std::string& error, const std::string& dead_tenant = {}) {
     Metrics().rejected->Increment();
     {
       std::lock_guard lock(stats_mu_);
       ++stats_.rejected;
     }
-    return StrFormat("{\"ok\":false,\"error\":\"%s\"}", JsonEscape(error).c_str());
+    if (dead_tenant.empty()) {
+      return StrFormat("{\"ok\":false,\"error\":\"%s\"}", JsonEscape(error).c_str());
+    }
+    return StrFormat("{\"ok\":false,\"tenant\":\"%s\",\"error\":\"%s\",\"dead\":true}",
+                     JsonEscape(dead_tenant).c_str(), JsonEscape(error).c_str());
   };
 
   auto parsed = json::Parse(line);
@@ -327,14 +333,7 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
 
   auto session = registry_->GetOrCreate(tenant, NowMsLocal());
   if (!session.ok()) {
-    Metrics().rejected->Increment();
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.rejected;
-    }
-    return StrFormat("{\"ok\":false,\"tenant\":\"%s\",\"error\":\"%s\",\"dead\":true}",
-                     JsonEscape(tenant).c_str(),
-                     JsonEscape(session.status().message()).c_str());
+    return reject(session.status().message(), tenant);
   }
 
   const RequestOutcome outcome = RunInTenant(*session, script);

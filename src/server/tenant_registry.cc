@@ -26,7 +26,7 @@ TenantRegistry::TenantRegistry(MultiCompartment* mc, TenantRegistryOptions optio
 Result<TenantSession*> TenantRegistry::GetOrCreate(const std::string& name, uint64_t now_ms) {
   std::lock_guard lock(mu_);
   auto it = sessions_.find(name);
-  if (it != sessions_.end() && it->second != nullptr) {
+  if (it != sessions_.end()) {
     TenantSession* session = it->second.get();
     if (session->dead) {
       return FailedPreconditionError("tenant '" + name +
@@ -80,10 +80,8 @@ bool TenantRegistry::ReleaseLocked(TenantSession& session) {
     ++stats_.release_retries;
     return false;
   }
-  // The scratch lived in the released pool — the pages are gone wholesale.
-  session.scratch = nullptr;
-  session.scratch_bytes = 0;
-  session.released = true;
+  // The scratch lived in the released pool — the pages are gone wholesale,
+  // and the caller destroys the session.
   ++stats_.released;
   return true;
 }
@@ -116,7 +114,7 @@ void TenantRegistry::WarmTenants(const std::vector<std::string>& names) {
     working_set.reserve(names.size());
     for (const std::string& name : names) {
       const auto it = sessions_.find(name);
-      if (it != sessions_.end() && it->second != nullptr && !it->second->dead) {
+      if (it != sessions_.end() && !it->second->dead) {
         working_set.push_back(it->second->library);
       }
     }

@@ -62,7 +62,7 @@ struct TenantRegistryOptions {
 struct TenantSession {
   std::string name;
   LibraryId library = 0;
-  // Scratch in the tenant's private pool (nullptr once released).
+  // Scratch in the tenant's private pool.
   void* scratch = nullptr;
   size_t scratch_bytes = 0;
   uint64_t last_active_ms = 0;
@@ -79,7 +79,6 @@ struct TenantSession {
   // Set when an enforcement violation killed the tenant: the session stops
   // serving immediately and is released on the next sweep.
   bool dead = false;
-  bool released = false;
 };
 
 class TenantRegistry {

@@ -23,12 +23,10 @@ namespace {
 class FaultConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    FaultSignalEngine::SetStepSlotMode(StepSlotMode::kPerThread);
     FaultSignalEngine::ResetCountersForTest();
   }
   void TearDown() override {
     FaultSignalEngine::Uninstall();
-    FaultSignalEngine::SetStepSlotMode(StepSlotMode::kPerThread);
     signal(SIGSEGV, SIG_DFL);
     SetCurrentThreadPkru(PkruValue::AllowAll());
   }
@@ -219,34 +217,6 @@ TEST_F(FaultConcurrencyTest, TwoThreadsAreMidStepSimultaneously) {
       << "the two single-steps never overlapped: the engine serialized them";
   EXPECT_EQ(*reinterpret_cast<char*>(page_a), 1);
   EXPECT_EQ(*reinterpret_cast<char*>(page_b), 2);
-#endif
-}
-
-TEST_F(FaultConcurrencyTest, SerializedGlobalModeStillServicesFaults) {
-#if !defined(__x86_64__)
-  GTEST_SKIP() << "single-step engine is x86_64-only";
-#else
-  // The v1 A/B mode used by bench_fault_mt must remain functional for
-  // single-threaded single-page faulting.
-  FaultSignalEngine::SetStepSlotMode(StepSlotMode::kSerializedGlobal);
-  MprotectMpkBackend backend;
-  auto region = VmRegion::Reserve(kPageSize);
-  ASSERT_TRUE(region.ok());
-  auto key = backend.AllocateKey();
-  ASSERT_TRUE(key.ok());
-  ASSERT_TRUE(backend.TagRange(region->base(), kPageSize, *key).ok());
-  ASSERT_TRUE(backend.InstallSignalHandlers().ok());
-  backend.SetFaultHandler([](const MpkFault&) { return FaultResolution::kRetryAllowed; });
-
-  const uint64_t before = FaultSignalEngine::serviced_fault_count();
-  backend.WritePkru(PkruValue::AllowAll().WithAccessDisabled(*key));
-  auto* bytes = reinterpret_cast<volatile unsigned char*>(region->base());
-  bytes[0] = 7;
-  bytes[1] = 8;
-  backend.WritePkru(PkruValue::AllowAll());
-  EXPECT_EQ(FaultSignalEngine::serviced_fault_count(), before + 2);
-  EXPECT_EQ(bytes[0], 7);
-  EXPECT_EQ(bytes[1], 8);
 #endif
 }
 

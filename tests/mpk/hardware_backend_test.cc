@@ -92,6 +92,21 @@ TEST(HardwareBackendTest, SingleStepProfilingOnSilicon) {
   EXPECT_EQ(bytes[0], 77);
 }
 
+TEST(HardwareBackendTest, FreeKeyRejectsForeignAndDoubleFrees) {
+  SKIP_WITHOUT_MPK();
+  HardwareMpkBackend backend;
+  auto key = backend.AllocateKey();
+  ASSERT_TRUE(key.ok());
+  EXPECT_EQ(backend.FreeKey(kDefaultPkey).code(), StatusCode::kInvalidArgument);
+  // A key held by another backend is not this one's to free.
+  HardwareMpkBackend other;
+  auto foreign = other.AllocateKey();
+  ASSERT_TRUE(foreign.ok());
+  EXPECT_EQ(backend.FreeKey(*foreign).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(backend.FreeKey(*key).ok());
+  EXPECT_EQ(backend.FreeKey(*key).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(HardwareBackendTest, FactoryAutoPrefersHardware) {
   SKIP_WITHOUT_MPK();
   auto backend = CreateMpkBackend(BackendKind::kAuto);

@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "src/mpk/hardware_backend.h"
+
 namespace pkrusafe {
 namespace {
 
@@ -189,6 +191,27 @@ TEST(RuntimeTest, ProfileSurvivesSaveLoadCycle) {
   EXPECT_EQ(*enforcing->allocator().OwnerOf(q), Domain::kUntrusted);
   enforcing->Free(q);
   std::remove(path.c_str());
+}
+
+TEST(RuntimeTest, HardwareRuntimesReturnTheirKeys) {
+  if (!HardwareMpkBackend::IsSupported()) {
+    GTEST_SKIP() << "CPU/kernel does not support Intel MPK";
+  }
+  // More runtimes than the CPU has keys: each must hand its M_T key back
+  // when it dies, or pkey_alloc runs dry around the 15th.
+  for (int i = 0; i < 20; ++i) {
+    RuntimeConfig config;
+    config.backend = BackendKind::kHardware;
+    config.mode = RuntimeMode::kEnforcing;
+    config.allocator.trusted_pool_bytes = size_t{1} << 24;
+    config.allocator.untrusted_pool_bytes = size_t{1} << 24;
+    auto rt = PkruSafeRuntime::Create(std::move(config));
+    ASSERT_TRUE(rt.ok()) << "runtime " << i << ": " << rt.status().ToString();
+    void* p = (*rt)->AllocTrusted(kPrivateSite, 64);
+    ASSERT_NE(p, nullptr);
+    (*rt)->gates().CallUntrusted([] {});
+    (*rt)->Free(p);
+  }
 }
 
 }  // namespace
