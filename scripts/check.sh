@@ -24,8 +24,9 @@
 #                                   # the 32-tenant sandbox on both backends,
 #                                   # then the transition bench (BENCH_vpkey)
 #   scripts/check.sh server         # multi-tenant sandbox server: server +
-#                                   # e2e tests under ThreadSanitizer (worker
-#                                   # pool vs sweep vs violator kill), a live
+#                                   # e2e + compiled-script cache tests under
+#                                   # ThreadSanitizer (worker pool vs sweep
+#                                   # vs violator kill vs cache), a live
 #                                   # pkrusafe_serve round trip over the
 #                                   # socket, then BENCH_server (1/8/32
 #                                   # tenants on both backends)
@@ -234,12 +235,15 @@ run_server() {
   # The multi-tenant sandbox server: the worker pool, the idle sweep, and a
   # violator's kill all race each other by design, so the server suite and
   # the fork-based mprotect e2e run under ThreadSanitizer, along with the
-  # multidomain lifecycle (ReleaseLibrary quarantine) they lean on.
+  # multidomain lifecycle (ReleaseLibrary quarantine) they lean on and the
+  # compiled-script cache every worker's Vm::Load shares (CodeCache unit +
+  # concurrency tests, VmCodeCache four-thread Loads; the server's cache
+  # hit path is one of the SandboxServer tests).
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target server_test multidomain_test integration_test
+    --target server_test multidomain_test integration_test runtime_test jsvm_test
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'SandboxServer|ServerE2e|MultiCompartment'
+    -R 'SandboxServer|ServerE2e|MultiCompartment|CodeCache'
 
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target pkrusafe_serve bench_server
@@ -288,11 +292,12 @@ run_gateintegrity() {
   # top-level corpus module gate-balanced (exit 0, even with notes escalated)
   # and reject every seeded violation module. The link-time half: check-binary
   # must find only sanctioned, registered wrpkru sites in the built tools,
-  # cross-checked against the explicit-gate module's IR inventory.
+  # cross-checked against the explicit-gate module's IR inventory, and must
+  # reject a binary with text relocations (textrel_fixture).
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" \
     --target pkrusafe_lint pkrusafe_run pkrusafe_serve msrun analysis_test \
-    gate_agreement_test
+    gate_agreement_test textrel_fixture
   local lint=build/tools/pkrusafe_lint
   for ir in examples/ir/*.ir; do
     echo "-- prove: $ir"

@@ -84,9 +84,7 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
     return std::string(shstrtab + section.sh_name);
   };
 
-  // Virtual-address -> file-offset windows. Registry entries hold link-time
-  // vaddrs (`.quad 1f`), which for PIE binaries match sh_addr as-is: both
-  // sides are pre-relocation link-time addresses.
+  // Virtual-address -> file-offset windows, in link-time vaddrs (sh_addr).
   std::vector<ExecWindow> windows;
   const Elf64_Shdr* registry = nullptr;
   for (const Elf64_Shdr& section : sections) {
@@ -96,6 +94,19 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
     if (registry == nullptr && section_name(section) == kGateRegistrySection) {
       registry = &section;
     }
+    // Text relocations: DT_TEXTREL, or DF_TEXTREL in DT_FLAGS.
+    if (section.sh_type == SHT_DYNAMIC && section.sh_offset + section.sh_size <= size) {
+      for (uint64_t at = 0; at + sizeof(Elf64_Dyn) <= section.sh_size; at += sizeof(Elf64_Dyn)) {
+        Elf64_Dyn dyn;
+        std::memcpy(&dyn, data + section.sh_offset + at, sizeof(dyn));
+        if (dyn.d_tag == DT_NULL) {
+          break;
+        }
+        if (dyn.d_tag == DT_TEXTREL || (dyn.d_tag == DT_FLAGS && (dyn.d_un.d_val & DF_TEXTREL))) {
+          report.textrel = true;
+        }
+      }
+    }
   }
   if (registry == nullptr) {
     return report;
@@ -103,14 +114,21 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
   report.has_registry = true;
 
   if (registry->sh_type == SHT_NOBITS || registry->sh_offset + registry->sh_size > size ||
-      registry->sh_size % sizeof(uint64_t) != 0) {
+      registry->sh_size % sizeof(int32_t) != 0) {
     return InvalidArgumentError(path + ": malformed " + std::string(kGateRegistrySection) +
                                 " section");
   }
 
-  report.registered = registry->sh_size / sizeof(uint64_t);
+  // Entry i is PC-relative (`.long 1f - .`): the gate sits at the entry's
+  // own vaddr plus the stored offset.
+  report.registered = registry->sh_size / sizeof(int32_t);
   report.registry_vaddrs.resize(report.registered);
-  std::memcpy(report.registry_vaddrs.data(), data + registry->sh_offset, registry->sh_size);
+  for (size_t i = 0; i < report.registered; ++i) {
+    int32_t delta = 0;
+    std::memcpy(&delta, data + registry->sh_offset + i * sizeof(int32_t), sizeof(delta));
+    report.registry_vaddrs[i] =
+        registry->sh_addr + i * sizeof(int32_t) + static_cast<int64_t>(delta);
+  }
 
   std::set<size_t> sanctioned_offsets;
   for (const GadgetHit& hit : report.hits) {
@@ -160,6 +178,20 @@ size_t CheckGateIntegrity(const BinaryGateReport& report, const GateInventory* i
                     report.unsanctioned),
           "every transition must be one of the TCB's marked gates; rebuild to displace the "
           "stray encoding or route it through the call gate");
+  }
+
+  if (report.textrel) {
+    Finding finding;
+    finding.severity = Severity::kError;
+    finding.rule = "text-relocation";
+    finding.function = report.path;
+    finding.message = "binary carries text relocations (DT_TEXTREL / DF_TEXTREL)";
+    finding.fix_hint =
+        "the loader makes code pages writable to patch them, a W^X hole in the binary whose "
+        "gates this check certifies; emit position-independent data (e.g. PC-relative "
+        "registry entries) instead of absolute addresses in read-only sections";
+    sink.Report(std::move(finding));
+    ++errors;
   }
 
   if (report.has_registry) {

@@ -13,8 +13,9 @@
 //     sanctioned iff the gate marker (the Garmr-style re-check sequence)
 //     immediately follows;
 //   * the gate-site registry: the hardware backend's WrPkru emits, next to
-//     each inlined wrpkru copy, one pointer to it in the .pkru_gate_sites
-//     section — an authoritative list of the gates the TCB meant to emit.
+//     each inlined wrpkru copy, one PC-relative int32 entry locating it in
+//     the .pkru_gate_sites section — an authoritative list of the gates the
+//     TCB meant to emit.
 //
 // CheckGateIntegrity demands a bijection between the two (every registered
 // site is marker-verified at its registered address, every sanctioned hit is
@@ -23,7 +24,9 @@
 // transitions runs on a binary that actually exposes sanctioned gates, and
 // that the IR inventory itself is balanced. Mismatches render through the
 // shared DiagnosticSink (rule gate-count-mismatch, error) so
-// `pkrusafe_lint check-binary` can gate CI builds.
+// `pkrusafe_lint check-binary` can gate CI builds. A binary with text
+// relocations (DT_TEXTREL or DF_TEXTREL) fails too (rule text-relocation):
+// the loader would make its code pages writable.
 #ifndef SRC_ANALYSIS_GATE_INTEGRITY_H_
 #define SRC_ANALYSIS_GATE_INTEGRITY_H_
 
@@ -46,6 +49,7 @@ struct BinaryGateReport {
   std::string path;
   bool elf = false;           // ELF64 parse succeeded (raw scan otherwise)
   bool has_registry = false;  // a .pkru_gate_sites section exists
+  bool textrel = false;       // the dynamic section asks for text relocations
 
   // Byte-scan tallies over executable sections.
   size_t sanctioned = 0;    // wrpkru + gate marker
@@ -66,15 +70,17 @@ struct BinaryGateReport {
 };
 
 // Scans `path` (ScanFile semantics) and, for ELF64 inputs, reads the gate
-// registry and resolves each registered virtual address to a file offset via
-// the executable sections' sh_addr/sh_offset windows to match it against the
-// scanner's sanctioned hits.
+// registry (entry i at section vaddr + 4*i names vaddr + 4*i + entry) and
+// resolves each registered virtual address to a file offset via the
+// executable sections' sh_addr/sh_offset windows to match it against the
+// scanner's sanctioned hits. Also notes DT_TEXTREL/DF_TEXTREL in the
+// dynamic section.
 Result<BinaryGateReport> ScanBinaryGates(const std::string& path);
 
-// Emits gate-count-mismatch errors (and a sanctioned-site inventory note)
-// for the report; `inventory` is the IR-level gate inventory to cross-check
-// against, or null for a binary-only check. Returns the number of
-// error-severity findings emitted.
+// Emits gate-count-mismatch and text-relocation errors (and a
+// sanctioned-site inventory note) for the report; `inventory` is the
+// IR-level gate inventory to cross-check against, or null for a binary-only
+// check. Returns the number of error-severity findings emitted.
 size_t CheckGateIntegrity(const BinaryGateReport& report, const GateInventory* inventory,
                           DiagnosticSink& sink);
 

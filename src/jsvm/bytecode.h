@@ -83,6 +83,8 @@ struct BcInstr {
   Op op;
   uint32_t a = 0;
   uint32_t b = 0;
+
+  bool operator==(const BcInstr&) const = default;
 };
 
 // Compile-time constant; string constants are interned into the VM heap at
@@ -96,6 +98,8 @@ struct CompiledFunction {
   std::vector<BcInstr> code;
   std::vector<BcConstant> constants;
   std::vector<int> lines;  // per-instruction source line (diagnostics)
+
+  bool operator==(const CompiledFunction&) const = default;
 };
 
 struct CompiledProgram {
@@ -103,6 +107,8 @@ struct CompiledProgram {
   std::vector<CompiledFunction> functions;
   std::vector<std::string> global_names;
   std::vector<std::string> host_names;  // index space of kCallHost
+
+  bool operator==(const CompiledProgram&) const = default;
 };
 
 }  // namespace pkrusafe

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "src/jsvm/program_codec.h"
 #include "src/support/string_util.h"
 
 namespace pkrusafe {
@@ -14,12 +15,53 @@ void Vm::RegisterHost(const std::string& name, HostFn fn) {
   host_fns_.push_back(std::move(fn));
 }
 
-Status Vm::Load(std::string_view source) {
-  auto compiled = CompileSource(source, host_names_);
-  if (!compiled.ok()) {
-    return compiled.status();
+namespace {
+
+// The compiled-script cache key: everything CompileSource reads. Host names
+// are length-prefixed so no two name lists (plus source) encode alike.
+std::string CacheKey(const std::vector<std::string>& host_names, std::string_view source) {
+  size_t size = sizeof(uint32_t) + source.size();
+  for (const std::string& name : host_names) {
+    size += sizeof(uint32_t) + name.size();
   }
-  program_ = std::move(*compiled);
+  std::string key;
+  key.reserve(size);
+  const auto put_count = [&key](size_t n) {
+    const auto value = static_cast<uint32_t>(n);
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put_count(host_names.size());
+  for (const std::string& name : host_names) {
+    put_count(name.size());
+    key += name;
+  }
+  key += source;
+  return key;
+}
+
+}  // namespace
+
+Status Vm::Load(std::string_view source) {
+  CodeCache& cache = runtime_->code_cache();
+  const std::string key = CacheKey(host_names_, source);
+  bool decoded = false;
+  const CodeCache::Probe probe = cache.Lookup(key, [&](std::string_view blob) {
+    auto program = DecodeProgram(blob);
+    if (program.ok()) {
+      program_ = std::move(*program);
+      decoded = true;
+    }
+  });
+  if (!decoded) {
+    auto compiled = CompileSource(source, host_names_);
+    if (!compiled.ok()) {
+      return compiled.status();
+    }
+    program_ = std::move(*compiled);
+    if (probe == CodeCache::Probe::kAdmit) {
+      cache.Insert(key, EncodeProgram(program_));
+    }
+  }
 
   // Intern constants: numbers stay immediate, strings become heap objects
   // rooted for the program's lifetime.

@@ -51,6 +51,14 @@ class Vm {
 
   // Parses + compiles `source` against the registered host functions and
   // loads it, interning constants and resetting globals.
+  //
+  // Compiled programs are cached in the runtime's code cache (in M_T; see
+  // src/runtime/code_cache.h), shared by every Vm on the runtime. The key
+  // is the exact bytes of the registered host names, in order, plus the
+  // source text — everything the compiler reads — so a hit decodes to the
+  // very program a compile would produce. A text is admitted on its second
+  // Load; compile errors are never cached. Load reads the cache, so call it
+  // from T (outside the call gate), as every embedder does.
   Status Load(std::string_view source);
 
   // Runs the top-level code.
@@ -71,6 +79,9 @@ class Vm {
   void ClearPrintOutput() { print_output_.clear(); }
 
   uint64_t steps_executed() const { return steps_; }
+
+  // The loaded program (empty before the first successful Load).
+  const CompiledProgram& program() const { return program_; }
 
  private:
   struct Frame {

@@ -95,6 +95,10 @@ class PkAllocator {
   HeapStats untrusted_stats() const;
 
   const Arena& trusted_arena() const { return *trusted_arena_; }
+  // Chunks taken straight from the trusted arena are M_T (the whole
+  // reservation carries the trusted key) but belong to no heap, so they show
+  // in no HeapStats. The runtime's compiled-script cache keeps its block here.
+  Arena& trusted_arena() { return *trusted_arena_; }
   const Arena& untrusted_arena() const { return *untrusted_arena_; }
 
   // The central free lists of `domain`, or nullptr when the thread cache is

@@ -164,6 +164,7 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
     budget_ = std::make_unique<FaultRateBudget>(config.sampling);
   }
   gates_ = std::make_unique<GateSet>(backend_.get(), allocator_->trusted_key());
+  code_cache_ = std::make_unique<CodeCache>(&allocator_->trusted_arena());
   gates_->set_verify(config.verify_gates);
   // The baseline configuration has no instrumentation: gates become no-ops.
   gates_->set_enabled(mode_ != RuntimeMode::kDisabled);
@@ -202,6 +203,22 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
   });
   registry.SetCallbackGauge("runtime.heap.untrusted_live_bytes", this, [this] {
     return static_cast<int64_t>(allocator_->untrusted_stats().live_bytes);
+  });
+
+  registry.SetCallbackGauge("runtime.code_cache.hits", this, [this] {
+    return static_cast<int64_t>(code_cache_->stats().hits);
+  });
+  registry.SetCallbackGauge("runtime.code_cache.misses", this, [this] {
+    return static_cast<int64_t>(code_cache_->stats().misses);
+  });
+  registry.SetCallbackGauge("runtime.code_cache.admitted", this, [this] {
+    return static_cast<int64_t>(code_cache_->stats().admitted);
+  });
+  registry.SetCallbackGauge("runtime.code_cache.evictions", this, [this] {
+    return static_cast<int64_t>(code_cache_->stats().evictions);
+  });
+  registry.SetCallbackGauge("runtime.code_cache.bytes", this, [this] {
+    return static_cast<int64_t>(code_cache_->stats().bytes);
   });
 
   // Force the lazily-created fault counters into existence now, then refresh

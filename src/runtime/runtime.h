@@ -25,6 +25,7 @@
 #include "src/mpk/fault_rate_budget.h"
 #include "src/pkalloc/pkalloc.h"
 #include "src/runtime/call_gate.h"
+#include "src/runtime/code_cache.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/provenance.h"
 #include "src/runtime/site_policy.h"
@@ -180,6 +181,11 @@ class PkruSafeRuntime {
   // copy-on-write policy swap as ApplyPromotions.
   DemotionResult ApplyDemotions(const std::vector<AllocId>& sites);
 
+  // --- Compiled-script cache ---
+  // Bounded, shared by every Vm on this runtime, stored in M_T (see
+  // code_cache.h). Vm::Load is its only client.
+  CodeCache& code_cache() { return *code_cache_; }
+
   // --- Introspection ---
   MpkBackend& backend() { return *backend_; }
   PkAllocator& allocator() { return *allocator_; }
@@ -221,6 +227,8 @@ class PkruSafeRuntime {
   std::unique_ptr<MpkBackend> backend_;
   std::unique_ptr<PkAllocator> allocator_;
   std::unique_ptr<GateSet> gates_;
+  // After allocator_: its block returns to the trusted arena first.
+  std::unique_ptr<CodeCache> code_cache_;
   ProvenanceTracker provenance_;
   ProfileRecorder recorder_;
   // Sampled profiling (enforce mode): non-null iff config.sampled_profiling.

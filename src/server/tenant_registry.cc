@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "src/support/logging.h"
+
 namespace pkrusafe {
 namespace server {
 
@@ -73,38 +75,45 @@ void TenantRegistry::Kill(TenantSession* session) {
   ++stats_.killed;
 }
 
-bool TenantRegistry::ReleaseLocked(TenantSession& session) {
-  const Status released = mc_->ReleaseLibrary(session.library);
-  if (!released.ok()) {
-    // Pinned by an in-flight request: keep the session and retry next sweep.
-    ++stats_.release_retries;
-    return false;
-  }
-  // The scratch lived in the released pool — the pages are gone wholesale,
-  // and the caller destroys the session.
-  ++stats_.released;
-  return true;
-}
-
 size_t TenantRegistry::SweepIdle(uint64_t now_ms) {
-  std::lock_guard lock(mu_);
-  size_t released = 0;
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    TenantSession* session = it->second.get();
-    const bool idle = options_.idle_timeout_ms > 0 &&
-                      now_ms >= session->last_active_ms + options_.idle_timeout_ms;
-    const bool in_flight = session->in_flight.load(std::memory_order_acquire) > 0;
-    if (!in_flight && (session->dead || idle) && ReleaseLocked(*session)) {
-      // in_flight == 0 (acquire) under mu_ means no worker holds the pointer
-      // and none can reacquire it (GetOrCreate runs under mu_ too), so the
-      // session is destroyed here — churn leaves nothing behind.
-      it = sessions_.erase(it);
-      ++released;
-    } else {
-      ++it;
+  // Detach under mu_, release outside it: ReleaseLibrary (key release, pool
+  // decommit) is the slow part, and holding mu_ over it stalled every
+  // GetOrCreate for the whole sweep.
+  std::vector<std::unique_ptr<TenantSession>> detached;
+  {
+    std::lock_guard lock(mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      TenantSession* session = it->second.get();
+      const bool idle = options_.idle_timeout_ms > 0 &&
+                        now_ms >= session->last_active_ms + options_.idle_timeout_ms;
+      const bool in_flight = session->in_flight.load(std::memory_order_acquire) > 0;
+      if (!(session->dead || idle)) {
+        ++it;
+      } else if (in_flight) {
+        // A request is using it: retried on the next sweep.
+        ++stats_.release_retries;
+        ++it;
+      } else {
+        // in_flight == 0 (acquire) under mu_ means no worker holds the
+        // pointer, and once erased none can reacquire it (GetOrCreate runs
+        // under mu_ too). A returning tenant gets a fresh session.
+        detached.push_back(std::move(it->second));
+        it = sessions_.erase(it);
+        ++stats_.released;
+      }
     }
   }
-  return released;
+  for (const std::unique_ptr<TenantSession>& session : detached) {
+    // Keys are pinned only by EnterLibrary scopes, which run under an
+    // in-flight slot; a detached session has none and cannot gain one, so
+    // a refusal here is a broken invariant, not a retry.
+    const Status released = mc_->ReleaseLibrary(session->library);
+    PS_CHECK(released.ok()) << "releasing detached tenant '" << session->name
+                            << "': " << released.ToString();
+  }
+  // The scratch lived in the released pools — the pages are gone wholesale —
+  // and the sessions die with `detached`.
+  return detached.size();
 }
 
 void TenantRegistry::WarmTenants(const std::vector<std::string>& names) {

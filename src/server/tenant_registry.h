@@ -6,18 +6,18 @@
 // a sweep — releases sessions that have gone idle past the timeout (or were
 // killed by an enforcement violation) through MultiCompartment's
 // ReleaseLibrary, returning the virtual key and the pool's pages. A session
-// with a request in flight (or whose key is still pinned) refuses release
-// and is retried on the next sweep, so the sweep can run concurrently with
-// the worker pool.
+// with a request in flight is skipped and retried on the next sweep, so the
+// sweep can run concurrently with the worker pool.
 //
 // Session lifetime: a worker's pointer to a TenantSession is covered by the
 // in_flight slot GetOrCreate hands out — the slot is taken under the
-// registry lock before the pointer escapes, and the sweep only releases a
+// registry lock before the pointer escapes, and the sweep only detaches a
 // session it observes (acquire) at in_flight == 0 under the same lock, by
 // which point every access by the releasing worker happened-before (its
-// decrement is a release store after its last touch of the session). So a
-// released session has no readers and is destroyed on the spot: tenant
-// churn costs no registry memory. (MultiCompartment's library table does
+// decrement is a release store after its last touch of the session). A
+// detached session has no readers, so the sweep releases its library and
+// destroys it after dropping the lock: tenant churn costs no registry memory
+// and never stalls GetOrCreate behind a release. (MultiCompartment's library table does
 // keep one small retired entry per id ever registered — ids are never
 // reused — which bounds a server's lifetime session count by memory, not by
 // keys or pool pages.)
@@ -86,7 +86,7 @@ class TenantRegistry {
   struct Stats {
     uint64_t created = 0;       // sessions ever created
     uint64_t released = 0;      // sessions released (idle or dead)
-    uint64_t release_retries = 0;  // sweeps that found a session still pinned
+    uint64_t release_retries = 0;  // sweeps that skipped a due session in use
     uint64_t killed = 0;        // sessions marked dead by a violation
   };
 
@@ -110,8 +110,11 @@ class TenantRegistry {
   void Kill(TenantSession* session);
 
   // Releases dead sessions and (when idle_timeout_ms > 0) sessions idle past
-  // the timeout. A pinned session (request in flight) is skipped and retried
-  // on the next sweep. Returns the number of sessions released.
+  // the timeout. A session with a request in flight is skipped and retried
+  // on the next sweep. Due sessions are detached from the map under the
+  // registry lock and released after it is dropped; a release refused there
+  // would mean a key pinned outside any request slot, and aborts (PS_CHECK).
+  // Returns the number of sessions released.
   size_t SweepIdle(uint64_t now_ms);
 
   // Pre-faults the named tenants' virtual keys (working-set hint ahead of a
@@ -123,9 +126,6 @@ class TenantRegistry {
   Stats stats() const;
 
  private:
-  // Releases one session under mu_. Returns true when released.
-  bool ReleaseLocked(TenantSession& session);
-
   MultiCompartment* mc_;
   const TenantRegistryOptions options_;
 

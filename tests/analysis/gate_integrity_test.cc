@@ -44,24 +44,44 @@ size_t AppendGate(std::vector<uint8_t>& text, bool with_marker = true) {
   return at;
 }
 
+// The registry section's link-time vaddr in every MiniElf.
+constexpr uint64_t kRegistryVaddr = 0x402000;
+
 struct MiniElf {
   std::vector<uint8_t> text;
+  // Gate vaddrs; Write stores entry i PC-relative, as the hardware backend's
+  // `.long 1f - .` does: target - (kRegistryVaddr + 4 * i).
   std::vector<uint64_t> registry;
   bool include_registry_section = true;
+  // Entries of a .dynamic section (written with a DT_NULL terminator), or
+  // none for no dynamic section.
+  std::vector<Elf64_Dyn> dynamic;
 
   std::string Write(const std::string& name) const {
-    // "\0.text\0.pkru_gate_sites\0.shstrtab\0"
-    std::string strtab("\0.text\0.pkru_gate_sites\0.shstrtab\0", 34);
+    // "\0.text\0.pkru_gate_sites\0.shstrtab\0.dynamic\0"
+    std::string strtab("\0.text\0.pkru_gate_sites\0.shstrtab\0.dynamic\0", 43);
     const uint32_t name_text = 1;
     const uint32_t name_registry = 7;
     const uint32_t name_strtab = 24;
+    const uint32_t name_dynamic = 34;
+
+    std::vector<int32_t> entries;
+    for (size_t i = 0; i < registry.size(); ++i) {
+      entries.push_back(static_cast<int32_t>(static_cast<int64_t>(registry[i]) -
+                                             static_cast<int64_t>(kRegistryVaddr + 4 * i)));
+    }
+    std::vector<Elf64_Dyn> dyn = dynamic;
+    if (!dyn.empty()) {
+      dyn.push_back(Elf64_Dyn{DT_NULL, {0}});
+    }
 
     auto align8 = [](size_t v) { return (v + 7) & ~size_t{7}; };
     const size_t text_off = 0x100;
     const size_t reg_off = align8(text_off + text.size());
-    const size_t str_off = reg_off + registry.size() * sizeof(uint64_t);
+    const size_t dyn_off = align8(reg_off + entries.size() * sizeof(int32_t));
+    const size_t str_off = dyn_off + dyn.size() * sizeof(Elf64_Dyn);
     const size_t sh_off = align8(str_off + strtab.size());
-    const size_t num_sections = include_registry_section ? 4 : 3;
+    const size_t num_sections = 3 + (include_registry_section ? 1 : 0) + (dyn.empty() ? 0 : 1);
 
     std::vector<uint8_t> image(sh_off + num_sections * sizeof(Elf64_Shdr), 0);
 
@@ -81,7 +101,8 @@ struct MiniElf {
     std::memcpy(image.data(), &ehdr, sizeof(ehdr));
 
     std::memcpy(image.data() + text_off, text.data(), text.size());
-    std::memcpy(image.data() + reg_off, registry.data(), registry.size() * sizeof(uint64_t));
+    std::memcpy(image.data() + reg_off, entries.data(), entries.size() * sizeof(int32_t));
+    std::memcpy(image.data() + dyn_off, dyn.data(), dyn.size() * sizeof(Elf64_Dyn));
     std::memcpy(image.data() + str_off, strtab.data(), strtab.size());
 
     std::vector<Elf64_Shdr> shdrs(num_sections, Elf64_Shdr{});
@@ -96,9 +117,19 @@ struct MiniElf {
       shdrs[next].sh_name = name_registry;
       shdrs[next].sh_type = SHT_PROGBITS;
       shdrs[next].sh_flags = SHF_ALLOC;
-      shdrs[next].sh_addr = 0x402000;
+      shdrs[next].sh_addr = kRegistryVaddr;
       shdrs[next].sh_offset = reg_off;
-      shdrs[next].sh_size = registry.size() * sizeof(uint64_t);
+      shdrs[next].sh_size = entries.size() * sizeof(int32_t);
+      shdrs[next].sh_addralign = 4;
+      ++next;
+    }
+    if (!dyn.empty()) {
+      shdrs[next].sh_name = name_dynamic;
+      shdrs[next].sh_type = SHT_DYNAMIC;
+      shdrs[next].sh_flags = SHF_ALLOC | SHF_WRITE;
+      shdrs[next].sh_offset = dyn_off;
+      shdrs[next].sh_size = dyn.size() * sizeof(Elf64_Dyn);
+      shdrs[next].sh_entsize = sizeof(Elf64_Dyn);
       shdrs[next].sh_addralign = 8;
       ++next;
     }
@@ -279,6 +310,81 @@ TEST(GateIntegrityTest, InventoryNoteAlwaysEmitted) {
 
 TEST(GateIntegrityTest, MissingFileIsAnError) {
   EXPECT_FALSE(ScanBinaryGates("/nonexistent/never-here").ok());
+}
+
+TEST(GateIntegrityTest, RegistryEntriesArePcRelative) {
+  MiniElf elf;
+  elf.text = Nops(8);
+  const size_t first = AppendGate(elf.text);
+  elf.text.insert(elf.text.end(), 3, 0x90);
+  const size_t second = AppendGate(elf.text);
+  // Entry 1 resolves against its own vaddr (kRegistryVaddr + 4), so listing
+  // the gates in the other order still verifies both.
+  elf.registry = {kTextVaddr + second, kTextVaddr + first};
+
+  const std::string path = elf.Write("pcrel.elf");
+  auto report = ScanBinaryGates(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->registry_vaddrs.size(), 2u);
+  EXPECT_EQ(report->registry_vaddrs[0], kTextVaddr + second);
+  EXPECT_EQ(report->registry_vaddrs[1], kTextVaddr + first);
+  EXPECT_EQ(report->registered_unverified, 0u);
+  EXPECT_EQ(report->sanctioned_unregistered, 0u);
+  EXPECT_FALSE(report->textrel);
+  EXPECT_EQ(Errors(*report, nullptr), 0u);
+  std::remove(path.c_str());
+}
+
+// A binary whose dynamic section asks for text relocations fails the check
+// even when its gates are a clean bijection: the loader would make its code
+// pages writable.
+TEST(GateIntegrityTest, TextrelBinaryIsAnError) {
+  MiniElf elf;
+  elf.text = Nops(4);
+  const size_t gate = AppendGate(elf.text);
+  elf.registry = {kTextVaddr + gate};
+  elf.dynamic = {Elf64_Dyn{DT_DEBUG, {0}}, Elf64_Dyn{DT_TEXTREL, {0}}};
+
+  const std::string path = elf.Write("textrel.elf");
+  auto report = ScanBinaryGates(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->textrel);
+  EXPECT_EQ(report->registered_unverified, 0u);
+  DiagnosticSink sink;
+  EXPECT_EQ(CheckGateIntegrity(*report, nullptr, sink), 1u);
+  ASSERT_FALSE(sink.findings().empty());
+  EXPECT_EQ(sink.findings().front().rule, "text-relocation");
+  std::remove(path.c_str());
+}
+
+TEST(GateIntegrityTest, DfTextrelFlagIsAnError) {
+  MiniElf elf;
+  elf.text = Nops(4);
+  const size_t gate = AppendGate(elf.text);
+  elf.registry = {kTextVaddr + gate};
+  elf.dynamic = {Elf64_Dyn{DT_FLAGS, {DF_BIND_NOW | DF_TEXTREL}}};
+
+  const std::string path = elf.Write("dftextrel.elf");
+  auto report = ScanBinaryGates(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->textrel);
+  EXPECT_EQ(Errors(*report, nullptr), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(GateIntegrityTest, DynamicSectionWithoutTextrelIsClean) {
+  MiniElf elf;
+  elf.text = Nops(4);
+  const size_t gate = AppendGate(elf.text);
+  elf.registry = {kTextVaddr + gate};
+  elf.dynamic = {Elf64_Dyn{DT_FLAGS, {DF_BIND_NOW}}, Elf64_Dyn{DT_DEBUG, {0}}};
+
+  const std::string path = elf.Write("dynamic.elf");
+  auto report = ScanBinaryGates(path);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->textrel);
+  EXPECT_EQ(Errors(*report, nullptr), 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/jsvm/program_codec.h"
+
 namespace pkrusafe {
 namespace {
 
@@ -19,6 +21,14 @@ class VmTest : public ::testing::Test {
     runtime_ = std::move(*runtime);
   }
 
+  // Every script this suite loads also checks the compiled-script codec:
+  // the loaded program survives an encode/decode round trip unchanged.
+  static void ExpectCodecRoundTrip(const Vm& vm) {
+    auto decoded = DecodeProgram(EncodeProgram(vm.program()));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_TRUE(*decoded == vm.program());
+  }
+
   // Runs source and returns the print() lines.
   std::vector<std::string> RunScript(const std::string& source, VmOptions options = {}) {
     Vm vm(runtime_.get(), options);
@@ -27,6 +37,7 @@ class VmTest : public ::testing::Test {
     if (!load.ok()) {
       return {};
     }
+    ExpectCodecRoundTrip(vm);
     auto result = vm.Run();
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return vm.print_output();
@@ -38,6 +49,7 @@ class VmTest : public ::testing::Test {
     if (!load.ok()) {
       return load;
     }
+    ExpectCodecRoundTrip(vm);
     return vm.Run().status();
   }
 
@@ -260,12 +272,14 @@ TEST_F(VmTest, StepBudgetStopsInfiniteLoops) {
   options.max_steps = 10'000;
   Vm vm(runtime_.get(), options);
   ASSERT_TRUE(vm.Load("while (true) { }").ok());
+  ExpectCodecRoundTrip(vm);
   EXPECT_EQ(vm.Run().status().code(), StatusCode::kResourceExhausted);
 }
 
 TEST_F(VmTest, CallFunctionEntryPoint) {
   Vm vm(runtime_.get());
   ASSERT_TRUE(vm.Load("fn mul(a, b) { return a * b; }").ok());
+  ExpectCodecRoundTrip(vm);
   ASSERT_TRUE(vm.Run().ok());
   auto result = vm.CallFunction("mul", {Value::Number(6), Value::Number(7)});
   ASSERT_TRUE(result.ok());
@@ -282,6 +296,7 @@ TEST_F(VmTest, HostFunctionsBridgeValues) {
     return host_vm.MakeString("from-host");
   });
   ASSERT_TRUE(vm.Load("print(host_fn(123));").ok());
+  ExpectCodecRoundTrip(vm);
   ASSERT_TRUE(vm.Run().ok());
   EXPECT_DOUBLE_EQ(received, 123);
   ASSERT_EQ(vm.print_output().size(), 1u);
@@ -294,6 +309,7 @@ TEST_F(VmTest, HostErrorsPropagate) {
     return InternalError("host exploded");
   });
   ASSERT_TRUE(vm.Load("fail();").ok());
+  ExpectCodecRoundTrip(vm);
   EXPECT_EQ(vm.Run().status().code(), StatusCode::kInternal);
 }
 
@@ -311,6 +327,7 @@ print(keep[0]);
 print(keep[199]);
 )")
                   .ok());
+  ExpectCodecRoundTrip(vm);
   auto result = vm.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(vm.print_output().size(), 3u);
@@ -324,6 +341,7 @@ print(keep[199]);
 TEST_F(VmTest, VmHeapLivesInUntrustedPool) {
   Vm vm(runtime_.get());
   ASSERT_TRUE(vm.Load("let a = [1, 2, 3];").ok());
+  ExpectCodecRoundTrip(vm);
   ASSERT_TRUE(vm.Run().ok());
   // Every engine object must come from M_U: sample via a fresh string.
   auto str = vm.MakeString("sample");
@@ -349,6 +367,7 @@ let addr = __addrof(a);
 print(addr > 0);
 )")
                   .ok());
+  ExpectCodecRoundTrip(vm);
   auto result = vm.Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(vm.print_output()[0], "true");

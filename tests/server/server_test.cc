@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -321,6 +322,137 @@ TEST(SandboxServerTest, ConcurrentTenantsSurviveAViolator) {
   EXPECT_EQ(stats.ok, static_cast<uint64_t>(kSurvivors * kRequestsEach + 3));
   EXPECT_EQ(stats.violations, 1u);
   EXPECT_EQ(stats.tenants.killed, 1u);
+}
+
+std::vector<std::string> Prints(const json::Value& response) {
+  std::vector<std::string> prints;
+  if (const json::Value* array = response.Find("prints"); array != nullptr) {
+    for (const json::Value& line : array->AsArray()) {
+      prints.push_back(line.AsString());
+    }
+  }
+  return prints;
+}
+
+// The steady-service hot path: tenants re-sending a small script set over
+// the socket to several workers. Repeated texts are served from the
+// runtime's code cache (shared across tenants: the key is the exact text
+// plus the host names), and every response must be what the script
+// computes. check.sh runs this under TSan.
+TEST(SandboxServerTest, RepeatedScriptsAreServedFromTheCodeCache) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.workers = 2;
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  const uint16_t port = (*server)->port();
+
+  constexpr int kScripts = 4;
+  constexpr int kRequestsEach = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      ServerClient client;
+      if (!client.Connect("127.0.0.1", port).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      const std::string tenant = "repeat-" + std::to_string(t);
+      for (int i = 0; i < kRequestsEach; ++i) {
+        const int k = (t + i) % kScripts;
+        auto response = client.Call(
+            tenant, "fn sq(x) { return x * x; } let k = " + std::to_string(k) +
+                        "; print(sq(k) + 1); print(len(\"abc\"));");
+        if (!response.ok() || !BoolField(*response, "ok") ||
+            Prints(*response) != std::vector<std::string>{std::to_string(k * k + 1), "3"}) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  (*server)->Stop();
+
+  EXPECT_EQ(failures.load(), 0);
+  const CodeCache::Stats cache = runtime->code_cache().stats();
+  EXPECT_EQ(cache.entries, static_cast<size_t>(kScripts));
+  EXPECT_EQ(cache.hits + cache.misses, 3u * kRequestsEach);
+  EXPECT_GT(cache.hits, 3u * kRequestsEach - 4u * kScripts);
+
+  // One-shot texts cost no storage: unique scripts never get admitted.
+  for (int i = 0; i < 20; ++i) {
+    const json::Value once = MustParse((*server)->HandleRequestLine(
+        R"({"tenant":"once","script":"print()" + std::to_string(1000 + i) + R"();"})"));
+    EXPECT_EQ(Prints(once), std::vector<std::string>{std::to_string(1000 + i)});
+  }
+  EXPECT_EQ(runtime->code_cache().stats().admitted, cache.admitted);
+  EXPECT_EQ(runtime->code_cache().stats().bytes, cache.bytes);
+}
+
+// Cached programs live in M_T, which every tenant mask denies: a tenant
+// poking at a cache entry — even the entry of its own script — is killed
+// with a crash report, the entry is untouched, and everyone else keeps being
+// served from it.
+TEST(SandboxServerTest, PokeAtACachedProgramKillsOnlyThePoker) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.enable_vulnerability = true;
+  options.crash_dir = ::testing::TempDir();
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // mallory's own text is admitted first, so the block's first entry is hers.
+  const std::string own = R"({"tenant":"mallory","script":"let m = 5; print(m * 2);"})";
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(Prints(MustParse((*server)->HandleRequestLine(own))),
+              std::vector<std::string>{"10"});
+  }
+  const std::string shared = R"(","script":"let n = 6; print(n * 7);"})";
+  for (const char* tenant : {"alice", "bob"}) {
+    ASSERT_EQ(Prints(MustParse((*server)->HandleRequestLine(R"({"tenant":")" +
+                                                            std::string(tenant) + shared))),
+              std::vector<std::string>{"42"});
+  }
+  CodeCache& cache = runtime->code_cache();
+  ASSERT_EQ(cache.stats().entries, 2u);
+  const uintptr_t entry = cache.block_base();
+  ASSERT_NE(entry, 0u);
+  EXPECT_EQ(runtime->backend().KeyFor(entry), runtime->trusted_key());
+  std::vector<uint8_t> before(64);
+  std::memcpy(before.data(), reinterpret_cast<const void*>(entry), before.size());
+
+  for (const uintptr_t target : {entry, entry + 40}) {
+    const std::string poker = "poker-" + std::to_string(target - entry);
+    const json::Value poke = MustParse((*server)->HandleRequestLine(
+        R"({"tenant":")" + poker + R"(","script":"__poke()" + std::to_string(target) +
+        R"(, 1);"})"));
+    EXPECT_FALSE(BoolField(poke, "ok"));
+    EXPECT_TRUE(BoolField(poke, "dead"));
+    auto report = telemetry::LoadCrashReport(options.crash_dir + "/crash-" + poker + ".json");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->GetString("tenant"), poker);
+  }
+  const json::Value own_poke = MustParse((*server)->HandleRequestLine(
+      R"({"tenant":"mallory","script":"__poke()" + std::to_string(entry) + R"(, 1);"})"));
+  EXPECT_TRUE(BoolField(own_poke, "dead"));
+
+  std::vector<uint8_t> after(64);
+  std::memcpy(after.data(), reinterpret_cast<const void*>(entry), after.size());
+  EXPECT_EQ(after, before);
+  const uint64_t hits = cache.stats().hits;
+  for (const char* tenant : {"alice", "bob", "carol"}) {
+    EXPECT_EQ(Prints(MustParse((*server)->HandleRequestLine(R"({"tenant":")" +
+                                                            std::string(tenant) + shared))),
+              std::vector<std::string>{"42"});
+  }
+  EXPECT_EQ(cache.stats().hits, hits + 3);
+  EXPECT_EQ((*server)->stats().violations, 3u);
 }
 
 // Tenant churn: many short-lived sessions across more concurrent tenants

@@ -63,7 +63,8 @@ int Usage() {
                "\n"
                "check-binary cross-checks the binary's .pkru_gate_sites registry against\n"
                "an ERIM-style byte scan (and, given modules, against their IR-level gate\n"
-               "inventory from the PKRU flow analysis); mismatches are errors.\n");
+               "inventory from the PKRU flow analysis); mismatches are errors, and so\n"
+               "are text relocations (DT_TEXTREL / DF_TEXTREL).\n");
   return 2;
 }
 
@@ -178,9 +179,9 @@ int main(int argc, char** argv) {
     analysis::CheckGateIntegrity(*report, inventory_modules.empty() ? nullptr : &inventory,
                                  sink);
     if (format == "text") {
-      std::printf("check-binary %s: %zu sanctioned, %zu unsanctioned, %zu registered\n",
+      std::printf("check-binary %s: %zu sanctioned, %zu unsanctioned, %zu registered, %s\n",
                   binary_path.c_str(), report->sanctioned, report->unsanctioned,
-                  report->registered);
+                  report->registered, report->textrel ? "DT_TEXTREL" : "no DT_TEXTREL");
     }
   }
 
