@@ -208,12 +208,14 @@ run_vpkey() {
   # design (hazard-pointer protocol, see src/multidomain/pin_registry.h), so
   # the multidomain suite — including the stress tests that hammer pins
   # against forced evictions — runs under ThreadSanitizer, along with the
-  # publication protocol of the lock-free library table.
+  # publication protocol of the lock-free library table and the page-key
+  # map's in-place re-tag (the eviction path's key store races lock-free
+  # KeyFor/AllRanges readers).
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target multidomain_test support_test multidomain_sandbox
+    --target multidomain_test support_test mpk_test multidomain_sandbox
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'multidomain|StableIndexArray|example_multidomain'
+    -R 'multidomain|Multidomain|MultiCompartment|Vpkey|InterleavedCrossing|PoolRecycling|StableIndexArray|PageKeyMapTest\.InPlaceRetag'
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect \

@@ -47,9 +47,21 @@ int MprotectMpkBackend::ProtFor(PkruValue pkru, PkeyId key) {
 }
 
 Status MprotectMpkBackend::TagRange(uintptr_t addr, size_t length, PkeyId key) {
+  // Tag succeeds on an already-tagged `addr` only as an exact re-tag.
+  const bool retag = page_keys_.IsTagged(addr);
+  const PkeyId previous = page_keys_.KeyFor(addr);
   PS_RETURN_IF_ERROR(page_keys_.Tag(addr, length, key));
   if (::mprotect(reinterpret_cast<void*>(addr), length, ProtFor(EffectivePkru(), key)) != 0) {
-    (void)page_keys_.Untag(addr);
+    // Fail closed. A re-tagged range was protected by its old key until now:
+    // keep that key (and re-apply its protection over whatever prefix the
+    // failed call changed) rather than dropping the range to the default
+    // key every domain can access. Only a range this call added is untagged.
+    if (retag) {
+      (void)page_keys_.Tag(addr, length, previous);
+      (void)::mprotect(reinterpret_cast<void*>(addr), length, ProtFor(EffectivePkru(), previous));
+    } else {
+      (void)page_keys_.Untag(addr);
+    }
     return InternalError("mprotect while tagging range failed");
   }
   return Status::Ok();

@@ -63,6 +63,9 @@ class MprotectMpkBackend final : public MpkBackend, public FaultSignalDelegate {
   size_t latched_page_count() const override { return latched_.size(); }
   bool has_process_wide_step_window() const override { return true; }
 
+  // Ranges currently tagged (tests: tag-growth regressions).
+  size_t tagged_range_count() const { return page_keys_.range_count(); }
+
   // Registers the SIGSEGV/SIGTRAP handlers (chaining any existing ones).
   // Must be called before violations are expected; idempotent.
   Status PrepareNativeEnforcement() override { return InstallSignalHandlers(); }

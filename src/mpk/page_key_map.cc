@@ -1,8 +1,10 @@
 #include "src/mpk/page_key_map.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/memmap/page.h"
+#include "src/support/logging.h"
 #include "src/support/string_util.h"
 #include "src/telemetry/telemetry.h"
 
@@ -128,6 +130,7 @@ void PageKeyMap::PublishLocked() {
     fresh->ranges.push_back(TaggedRange{interval.begin, interval.end, interval.value});
   });
   const Snapshot* old = snapshot_.exchange(fresh.release(), std::memory_order_seq_cst);
+  ++publishes_;
   if (old != nullptr) {
     const uint64_t retire_epoch = g_epoch.fetch_add(1, std::memory_order_seq_cst);
     retired_.push_back(RetiredSnapshot{old, retire_epoch});
@@ -151,14 +154,32 @@ Status PageKeyMap::Tag(uintptr_t addr, size_t length, PkeyId key) {
   }
   std::lock_guard lock(mutex_);
   // Allow exact retagging: pkey_mprotect may be called repeatedly on the same
-  // mapping with a different key.
+  // mapping with a different key. No boundary moves, so the published
+  // snapshot is updated in place instead of rebuilt.
   auto existing = ranges_.Find(addr);
   if (existing.has_value() && existing->begin == addr && existing->end == addr + length) {
-    (void)ranges_.Erase(addr);
+    if (existing->value != key) {
+      *ranges_.FindValue(addr) = key;
+      StoreKeyLocked(addr, key);
+    }
+    return Status::Ok();
   }
   PS_RETURN_IF_ERROR(ranges_.Insert(addr, addr + length, key));
   PublishLocked();
   return Status::Ok();
+}
+
+void PageKeyMap::StoreKeyLocked(uintptr_t begin, PkeyId key) {
+  // Only writers replace snapshot_, and they hold mutex_: this is the
+  // snapshot every reader that starts from now on will load.
+  Snapshot* snap = snapshot_.load(std::memory_order_relaxed);
+  auto it = std::lower_bound(snap->ranges.begin(), snap->ranges.end(), begin,
+                             [](const TaggedRange& range, uintptr_t value) {
+                               return range.begin < value;
+                             });
+  PS_CHECK(it != snap->ranges.end() && it->begin == begin)
+      << "page key map snapshot out of sync with its interval map";
+  std::atomic_ref<PkeyId>(it->key).store(key, std::memory_order_seq_cst);
 }
 
 Status PageKeyMap::Untag(uintptr_t addr) {
@@ -173,12 +194,26 @@ Status PageKeyMap::Untag(uintptr_t addr) {
 
 namespace {
 
+using TaggedRange = PageKeyMap::TaggedRange;
+
+static_assert(std::atomic_ref<PkeyId>::is_always_lock_free,
+              "key loads must stay async-signal-safe");
+
+// A published entry's key may be rewritten in place by an exact re-tag, so
+// readers load it atomically and copy entries field by field, never whole.
+PKRUSAFE_AS_SAFE PkeyId KeyOf(TaggedRange& range) {
+  return std::atomic_ref<PkeyId>(range.key).load(std::memory_order_seq_cst);
+}
+
+PKRUSAFE_AS_SAFE TaggedRange CopyOf(TaggedRange& range) {
+  return TaggedRange{range.begin, range.end, KeyOf(range)};
+}
+
 // First range whose end is past `addr` (the containing range if tagged,
 // otherwise the nearest range above).
-const PageKeyMap::TaggedRange* LowerBoundRange(const std::vector<PageKeyMap::TaggedRange>& ranges,
-                                               uintptr_t addr) {
+TaggedRange* LowerBoundRange(std::vector<TaggedRange>& ranges, uintptr_t addr) {
   auto it = std::upper_bound(ranges.begin(), ranges.end(), addr,
-                             [](uintptr_t value, const PageKeyMap::TaggedRange& range) {
+                             [](uintptr_t value, const TaggedRange& range) {
                                return value < range.end;
                              });
   return it == ranges.end() ? nullptr : &*it;
@@ -188,17 +223,17 @@ const PageKeyMap::TaggedRange* LowerBoundRange(const std::vector<PageKeyMap::Tag
 
 PkeyId PageKeyMap::KeyFor(uintptr_t addr) const {
   EpochReadGuard guard;
-  const Snapshot* snap = LoadSnapshot();
+  Snapshot* snap = LoadSnapshot();
   if (snap == nullptr) {
     return kDefaultPkey;
   }
-  const TaggedRange* range = LowerBoundRange(snap->ranges, addr);
-  return range != nullptr && range->begin <= addr ? range->key : kDefaultPkey;
+  TaggedRange* range = LowerBoundRange(snap->ranges, addr);
+  return range != nullptr && range->begin <= addr ? KeyOf(*range) : kDefaultPkey;
 }
 
 bool PageKeyMap::IsTagged(uintptr_t addr) const {
   EpochReadGuard guard;
-  const Snapshot* snap = LoadSnapshot();
+  Snapshot* snap = LoadSnapshot();
   if (snap == nullptr) {
     return false;
   }
@@ -208,11 +243,11 @@ bool PageKeyMap::IsTagged(uintptr_t addr) const {
 
 size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) const {
   EpochReadGuard guard;
-  const Snapshot* snap = LoadSnapshot();
+  Snapshot* snap = LoadSnapshot();
   if (snap == nullptr || max == 0 || snap->ranges.empty()) {
     return 0;
   }
-  const std::vector<TaggedRange>& ranges = snap->ranges;
+  std::vector<TaggedRange>& ranges = snap->ranges;
   const TaggedRange* pivot = LowerBoundRange(ranges, addr);
   size_t index = pivot == nullptr ? ranges.size() : static_cast<size_t>(pivot - ranges.data());
   // Center the window on the pivot: up to half the budget below it, the rest
@@ -223,7 +258,7 @@ size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) co
   }
   size_t written = 0;
   for (size_t i = begin; i < ranges.size() && written < max; ++i) {
-    out[written++] = ranges[i];
+    out[written++] = CopyOf(ranges[i]);
   }
   return written;
 }
@@ -231,13 +266,14 @@ size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) co
 std::vector<PageKeyMap::TaggedRange> PageKeyMap::RangesForKey(PkeyId key) const {
   EpochReadGuard guard;
   std::vector<TaggedRange> out;
-  const Snapshot* snap = LoadSnapshot();
+  Snapshot* snap = LoadSnapshot();
   if (snap == nullptr) {
     return out;
   }
-  for (const TaggedRange& range : snap->ranges) {
-    if (range.key == key) {
-      out.push_back(range);
+  for (TaggedRange& range : snap->ranges) {
+    const TaggedRange copy = CopyOf(range);
+    if (copy.key == key) {
+      out.push_back(copy);
     }
   }
   return out;
@@ -245,8 +281,16 @@ std::vector<PageKeyMap::TaggedRange> PageKeyMap::RangesForKey(PkeyId key) const 
 
 std::vector<PageKeyMap::TaggedRange> PageKeyMap::AllRanges() const {
   EpochReadGuard guard;
-  const Snapshot* snap = LoadSnapshot();
-  return snap == nullptr ? std::vector<TaggedRange>() : snap->ranges;
+  std::vector<TaggedRange> out;
+  Snapshot* snap = LoadSnapshot();
+  if (snap == nullptr) {
+    return out;
+  }
+  out.reserve(snap->ranges.size());
+  for (TaggedRange& range : snap->ranges) {
+    out.push_back(CopyOf(range));
+  }
+  return out;
 }
 
 size_t PageKeyMap::range_count() const {
@@ -258,6 +302,11 @@ size_t PageKeyMap::range_count() const {
 size_t PageKeyMap::retired_snapshot_count() const {
   std::lock_guard lock(mutex_);
   return retired_.size();
+}
+
+uint64_t PageKeyMap::publish_count() const {
+  std::lock_guard lock(mutex_);
+  return publishes_;
 }
 
 }  // namespace pkrusafe

@@ -5,12 +5,21 @@
 // translate PKRU writes into mprotect calls over the affected ranges, and
 // the crash-forensics path queries it from inside SIGSEGV.
 //
-// The read path is lock-free: mutations (Tag/Untag — rare, on region
-// creation/teardown) rebuild an immutable sorted snapshot under a writer
-// mutex and publish it with one release store. Readers load the snapshot
-// pointer (acquire) and binary-search it — no lock, no allocation, so
+// The read path is lock-free: mutations that add or remove a range (Tag of a
+// new range, Untag — on region creation/teardown) rebuild a sorted snapshot
+// under a writer mutex and publish it with one seq_cst store. Readers load
+// the snapshot pointer and binary-search it — no lock, no allocation, so
 // KeyFor/IsTagged/RangesAround are async-signal-safe and cheap on the sim
 // backend's per-access check.
+//
+// An exact re-tag (same bounds, new key — the virtual-key cache's eviction
+// and fault-in traffic) changes no boundary, so it rebuilds nothing: under
+// the writer mutex it stores the new key into the matching entry of the
+// currently published snapshot (seq_cst, through std::atomic_ref). A
+// snapshot's boundaries are therefore immutable once published but its keys
+// are not, and every reader loads `key` atomically and copies ranges entry
+// by entry. A reader racing a re-tag sees either the old key or the new one,
+// exactly as it would have racing a publish. A same-key re-tag is a no-op.
 //
 // Retired snapshots are reclaimed with a global epoch / grace-period scheme
 // (see page_key_map.cc): every reader stamps the current epoch into a
@@ -53,7 +62,8 @@ class PageKeyMap {
 
   // Tags [addr, addr+length) with `key`. Both bounds must be page-aligned.
   // Retagging an identical existing range is allowed (pkey_mprotect
-  // semantics); partially overlapping ranges are rejected.
+  // semantics) and updates the published snapshot in place; partially
+  // overlapping ranges are rejected.
   Status Tag(uintptr_t addr, size_t length, PkeyId key);
 
   // Removes the tag for the range starting at `addr` (e.g. on unmap).
@@ -85,8 +95,13 @@ class PageKeyMap {
   // this stays flat.
   size_t retired_snapshot_count() const;
 
+  // Snapshots published so far (tests: an in-place re-tag publishes none).
+  uint64_t publish_count() const;
+
  private:
-  // Immutable once published; `ranges` is sorted by begin.
+  // `ranges` is sorted by begin. Boundaries are immutable once published;
+  // `key` is rewritten in place by exact re-tags, so it is only ever read
+  // and written atomically (see page_key_map.cc).
   struct Snapshot {
     std::vector<TaggedRange> ranges;
   };
@@ -98,18 +113,22 @@ class PageKeyMap {
 
   // Loads the current snapshot under the caller's reader stamp (the caller
   // must hold an EpochReadGuard, see page_key_map.cc).
-  PKRUSAFE_AS_SAFE const Snapshot* LoadSnapshot() const {
+  PKRUSAFE_AS_SAFE Snapshot* LoadSnapshot() const {
     return snapshot_.load(std::memory_order_seq_cst);
   }
   // Rebuilds and publishes a snapshot from `ranges_`, retiring the old one
   // and freeing every retired snapshot past its grace period; caller holds
   // mutex_.
   void PublishLocked();
+  // Rewrites the key of the published entry starting at `begin` (an exact
+  // re-tag: boundaries unchanged, nothing to rebuild); caller holds mutex_.
+  void StoreKeyLocked(uintptr_t begin, PkeyId key);
 
   mutable std::mutex mutex_;  // serializes writers; readers never take it
   IntervalMap<PkeyId> ranges_;
-  std::atomic<const Snapshot*> snapshot_{nullptr};
+  std::atomic<Snapshot*> snapshot_{nullptr};
   std::deque<RetiredSnapshot> retired_;
+  uint64_t publishes_ = 0;
 };
 
 }  // namespace pkrusafe

@@ -46,6 +46,9 @@ class SimMpkBackend final : public MpkBackend {
   bool IsLatched(uintptr_t addr) const override { return latched_.Contains(addr); }
   size_t latched_page_count() const override { return latched_.size(); }
 
+  // Ranges currently tagged (tests: tag-growth regressions).
+  size_t tagged_range_count() const { return page_keys_.range_count(); }
+
   // Number of violations observed (before resolution), for tests and stats.
   uint64_t fault_count() const { return fault_count_.load(std::memory_order_relaxed); }
 

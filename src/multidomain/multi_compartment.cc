@@ -61,16 +61,28 @@ MultiCompartment::~MultiCompartment() {
 Result<LibraryId> MultiCompartment::RegisterLibrary(const std::string& name) {
   std::lock_guard lock(mu_);
   PS_ASSIGN_OR_RETURN(const VirtualKeyId vkey, vpkeys_->AllocateVirtualKey());
+  // Every error path below returns the virtual key. Without that this slot of
+  // the (virtual) key space would burn forever — the pre-virtualization bug
+  // permanently lost one of the 15 hardware keys here.
 
-  auto arena = Arena::Create(config_.library_pool_bytes);
-  if (!arena.ok()) {
-    // Without the release this slot of the (virtual) key space would burn
-    // forever — the pre-virtualization bug permanently lost one of the 15
-    // hardware keys here.
-    (void)vpkeys_->ReleaseVirtualKey(vkey);
-    return arena.status();
+  // A spare pool is only peeked at here and taken once nothing can fail, so
+  // an error leaves it on the list.
+  std::unique_ptr<Arena> fresh;
+  Arena* pool = nullptr;
+  if (!spare_pools_.empty()) {
+    pool = spare_pools_.back();
+  } else {
+    auto created = Arena::Create(config_.library_pool_bytes);
+    if (!created.ok()) {
+      (void)vpkeys_->ReleaseVirtualKey(vkey);
+      return created.status();
+    }
+    fresh = std::move(*created);
+    pool = fresh.get();
   }
-  const Status tag = vpkeys_->TagRange(vkey, (*arena)->base(), (*arena)->reserved_bytes());
+  // A new key starts evicted, so on a spare pool (already tagged with the
+  // evicted key) this only records the range for the key's future re-tags.
+  const Status tag = vpkeys_->TagRange(vkey, pool->base(), pool->reserved_bytes());
   if (!tag.ok()) {
     (void)vpkeys_->ReleaseVirtualKey(vkey);
     return tag;
@@ -79,12 +91,22 @@ Result<LibraryId> MultiCompartment::RegisterLibrary(const std::string& name) {
   Library* library = libraries_.Claim();
   if (library == nullptr) {
     (void)vpkeys_->ReleaseVirtualKey(vkey);
+    if (fresh != nullptr) {
+      // Untouched and tagged with the evicted key: exactly a spare pool.
+      spare_pools_.push_back(fresh.get());
+      pools_.push_back(std::move(fresh));
+    }
     return ResourceExhaustedError("library table full");
+  }
+  if (fresh != nullptr) {
+    pools_.push_back(std::move(fresh));
+  } else {
+    spare_pools_.pop_back();
   }
   library->name = name;
   library->vkey = vkey;
-  library->heap = std::make_unique<FreeListHeap>(arena->get());
-  library->arena = std::move(*arena);
+  library->pool = pool;
+  library->heap = std::make_unique<FreeListHeap>(pool);
   library->live_heap.store(library->heap.get(), std::memory_order_release);
   // Publish after the entry is complete: lock-free readers that observe the
   // new count see a fully-built Library.
@@ -108,10 +130,14 @@ Status MultiCompartment::ReleaseLibrary(LibraryId library) {
   // the instant the key is gone.
   PS_RETURN_IF_ERROR(vpkeys_->ReleaseVirtualKey(entry.vkey));
   // Dead to lock-free scanners first, then return the pool's pages. The
-  // heap/arena objects stay behind (retired in place, see Library) so a
-  // scan that loaded live_heap a moment ago still reads valid memory.
+  // heap object stays behind (retired in place, see Library) so a scan that
+  // loaded live_heap a moment ago still reads valid memory.
   entry.live_heap.store(nullptr, std::memory_order_release);
-  return entry.arena->DecommitAll();
+  PS_RETURN_IF_ERROR(entry.pool->DecommitAll());
+  // Zero-filled and tagged with the evicted key (the vpkey release above
+  // re-tagged it if it was resident): ready for the next registration.
+  spare_pools_.push_back(entry.pool);
+  return Status::Ok();
 }
 
 Status MultiCompartment::PrefaultWorkingSet(const std::vector<LibraryId>& working_set) {
@@ -248,6 +274,11 @@ size_t MultiCompartment::live_library_count() const {
     }
   }
   return live;
+}
+
+size_t MultiCompartment::spare_pool_count() const {
+  std::lock_guard lock(mu_);
+  return spare_pools_.size();
 }
 
 std::string MultiCompartment::library_name(LibraryId id) const { return LibraryAt(id).name; }

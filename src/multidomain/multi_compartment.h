@@ -89,15 +89,21 @@ class MultiCompartment {
   MultiCompartment(const MultiCompartment&) = delete;
   MultiCompartment& operator=(const MultiCompartment&) = delete;
 
-  // Registers an untrusted library: mints its virtual key, reserves and tags
-  // its private pool. The count is unbounded — libraries beyond the hardware
-  // slot capacity time-share slots through eviction.
+  // Registers an untrusted library: mints its virtual key and gives it a
+  // private pool — a released one from the spare list when there is one
+  // (already zero-filled and tagged with the evicted key, so its tag is a
+  // no-op), a fresh reservation otherwise. The count is unbounded —
+  // libraries beyond the hardware slot capacity time-share slots through
+  // eviction. On failure neither the virtual key nor a spare pool is lost.
   Result<LibraryId> RegisterLibrary(const std::string& name);
 
   // Tears down a dead tenant's compartment: returns its virtual key (and
-  // hardware slot, if resident) to the cache and its pool pages to the OS.
-  // Registration used to be append-only, so long-lived servers leaked one
-  // key and one pool reservation per evicted session.
+  // hardware slot, if resident) to the cache and its pool pages to the OS,
+  // then parks the pool — still reserved, zero-filled, tagged with the
+  // evicted key every tenant's PKRU denies — on the spare list for the next
+  // registration. Pools are recycled; library ids are not. So the pool
+  // reservations and the backend's tagged ranges are bounded by the peak
+  // number of live libraries, not by the number ever registered.
   //
   // Quarantine contract: a key still pinned by an in-flight EnterLibrary
   // refuses release with FailedPrecondition and NOTHING is torn down — the
@@ -160,6 +166,8 @@ class MultiCompartment {
   size_t library_count() const;
   // Registered minus released (library_count() counts every id ever minted).
   size_t live_library_count() const;
+  // Released pools waiting on the spare list for the next registration.
+  size_t spare_pool_count() const;
   std::string library_name(LibraryId id) const;
   PkeyId trusted_key() const { return trusted_key_; }
   // The hardware key currently tagging the library's pool: its slot key when
@@ -175,14 +183,17 @@ class MultiCompartment {
   struct Library {
     std::string name;
     VirtualKeyId vkey = 0;
-    std::unique_ptr<Arena> arena;
+    // The private pool, owned by pools_. After release it goes to the spare
+    // list and may back a later library.
+    Arena* pool = nullptr;
+    // This library's own heap over `pool`, fresh at registration.
     std::unique_ptr<FreeListHeap> heap;
     // Lock-free scanner view of `heap`: non-null while the library is live,
-    // null once released. The heap and arena objects are retired in place
-    // (never destroyed — table entries are permanent and the objects are a
-    // few hundred bytes; the pool's pages are decommitted), so a scanner
-    // that loaded the pointer just before a release still dereferences a
-    // valid heap over a valid reservation.
+    // null once released — and nulled before the pool can be handed out
+    // again. Heap objects are retired in place (never destroyed — table
+    // entries are permanent and a heap is a few hundred bytes) and pools
+    // are never unmapped, so a scanner that loaded the pointer just before a
+    // release still dereferences a valid heap over a valid reservation.
     std::atomic<FreeListHeap*> live_heap{nullptr};
   };
 
@@ -208,10 +219,15 @@ class MultiCompartment {
   std::unique_ptr<Arena> shared_arena_;
   std::unique_ptr<FreeListHeap> shared_heap_;
 
-  // Guards registration (the libraries_ writer side) and every vpkeys_
-  // mutation: fault-in, eviction, release, stats. Reads of published
-  // Library entries and the vpkey pin fast path take no lock.
+  // Guards registration (the libraries_ writer side), the pool lists and
+  // every vpkeys_ mutation: fault-in, eviction, release, stats. Reads of
+  // published Library entries and the vpkey pin fast path take no lock.
   mutable std::mutex mu_;
+  // Every library pool ever reserved (declared before libraries_, whose
+  // retired heaps point into them). Released pools sit in spare_pools_:
+  // decommitted and tagged with the vpkey layer's evicted key.
+  std::vector<std::unique_ptr<Arena>> pools_;
+  std::vector<Arena*> spare_pools_;
   StableIndexArray<Library> libraries_;
   std::unique_ptr<VirtualPkeyTable> vpkeys_;
 

@@ -71,8 +71,8 @@ void Arena::FreeChunk(uintptr_t addr, size_t bytes) {
 Status Arena::DecommitAll() {
   std::lock_guard lock(mutex_);
   PS_RETURN_IF_ERROR(region_.Decommit(0, region_.size()));
-  // Restore the aligned-start bump of Create: the first chunk after a
-  // (hypothetical) reuse must stay 64 KiB-aligned.
+  // Restore the aligned-start bump of Create: the first chunk after a reuse
+  // (a recycled compartment pool) must stay 64 KiB-aligned.
   const uintptr_t misalignment = region_.base() & (kArenaChunkGranularity - 1);
   bump_ = misalignment != 0 ? kArenaChunkGranularity - misalignment : 0;
   outstanding_ = 0;

@@ -51,7 +51,8 @@ class Arena {
   // bookkeeping. The reservation survives — base()/Contains() stay valid, so
   // racing ownership scans over a dying compartment's pool never touch freed
   // address space — and the pages read zero if ever touched again. Used by
-  // compartment release (MultiCompartment::ReleaseLibrary).
+  // compartment release (MultiCompartment::ReleaseLibrary), which then hands
+  // the pool to the next registration.
   Status DecommitAll();
 
  private:

@@ -1,6 +1,7 @@
 #include "src/mpk/mprotect_backend.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
 
@@ -125,6 +126,29 @@ TEST_F(MprotectBackendTest, ProtectionRestoredAfterSingleStep) {
 TEST_F(MprotectBackendTest, KeyForReportsTag) {
   EXPECT_EQ(backend_.KeyFor(region_.base()), key_);
   EXPECT_EQ(backend_.KeyFor(region_.base() + 4 * kPageSize), kDefaultPkey);
+}
+
+// When mprotect fails under a re-tag, the range must keep the key that
+// protected it until then (fail closed) instead of dropping to the default
+// key every domain can access; only a range the failed call added is undone.
+TEST_F(MprotectBackendTest, FailedRetagKeepsPreviousKey) {
+  void* raw = ::mmap(nullptr, 4 * kPageSize, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(raw, MAP_FAILED);
+  const auto addr = reinterpret_cast<uintptr_t>(raw);
+  ASSERT_TRUE(backend_.TagRange(addr, 2 * kPageSize, key_).ok());
+  ASSERT_EQ(::munmap(raw, 4 * kPageSize), 0);  // every later mprotect: ENOMEM
+  auto other = backend_.AllocateKey();
+  ASSERT_TRUE(other.ok());
+
+  EXPECT_FALSE(backend_.TagRange(addr, 2 * kPageSize, *other).ok());
+  EXPECT_EQ(backend_.KeyFor(addr), key_);
+  EXPECT_EQ(backend_.KeyFor(addr + kPageSize), key_);
+
+  EXPECT_FALSE(backend_.TagRange(addr + 2 * kPageSize, 2 * kPageSize, *other).ok());
+  EXPECT_EQ(backend_.KeyFor(addr + 2 * kPageSize), kDefaultPkey);
+  EXPECT_EQ(backend_.tagged_range_count(), 2u);  // the fixture's range + addr's
+  ASSERT_TRUE(backend_.UntagRange(addr).ok());
 }
 
 TEST_F(MprotectBackendTest, CheckAccessIsPassThrough) {

@@ -48,6 +48,101 @@ TEST(PageKeyMapTest, ExactRetagChangesKey) {
   EXPECT_EQ(map.range_count(), 1u);
 }
 
+// An exact re-tag to the key a range already has changes nothing, so it
+// must not publish a snapshot either.
+TEST(PageKeyMapTest, SameKeyRetagPublishesNothing) {
+  PageKeyMap map;
+  ASSERT_TRUE(map.Tag(kBase, kPageSize, 1).ok());
+  const uint64_t publishes = map.publish_count();
+  ASSERT_TRUE(map.Tag(kBase, kPageSize, 1).ok());
+  EXPECT_EQ(map.publish_count(), publishes);
+  EXPECT_EQ(map.KeyFor(kBase), 1);
+}
+
+// A changed-key exact re-tag rewrites the published snapshot's entry in
+// place: no new snapshot, no retired one, same range count — and every
+// reader reports the new key.
+TEST(PageKeyMapTest, ChangedKeyRetagUpdatesSnapshotInPlace) {
+  PageKeyMap map;
+  ASSERT_TRUE(map.Tag(kBase, kPageSize, 1).ok());
+  ASSERT_TRUE(map.Tag(kBase + 4 * kPageSize, 2 * kPageSize, 2).ok());
+  ASSERT_TRUE(map.Tag(kBase + 8 * kPageSize, kPageSize, 1).ok());
+  const uint64_t publishes = map.publish_count();
+  const size_t retired = map.retired_snapshot_count();
+
+  ASSERT_TRUE(map.Tag(kBase + 4 * kPageSize, 2 * kPageSize, 7).ok());
+  EXPECT_EQ(map.publish_count(), publishes);
+  EXPECT_EQ(map.retired_snapshot_count(), retired);
+  EXPECT_EQ(map.range_count(), 3u);
+
+  EXPECT_EQ(map.KeyFor(kBase + 5 * kPageSize), 7);
+  PageKeyMap::TaggedRange around[4];
+  ASSERT_EQ(map.RangesAround(kBase + 4 * kPageSize, around, 4), 3u);
+  EXPECT_EQ(around[0].key, 1);
+  EXPECT_EQ(around[1].begin, kBase + 4 * kPageSize);
+  EXPECT_EQ(around[1].end, kBase + 6 * kPageSize);
+  EXPECT_EQ(around[1].key, 7);
+  EXPECT_EQ(around[2].key, 1);
+  EXPECT_TRUE(map.RangesForKey(2).empty());
+  const auto sevens = map.RangesForKey(7);
+  ASSERT_EQ(sevens.size(), 1u);
+  EXPECT_EQ(sevens[0].begin, kBase + 4 * kPageSize);
+  const auto all = map.AllRanges();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[1].key, 7);
+
+  // Later structural changes rebuild from the updated key, not the stale one.
+  ASSERT_TRUE(map.Tag(kBase + 12 * kPageSize, kPageSize, 3).ok());
+  EXPECT_EQ(map.KeyFor(kBase + 4 * kPageSize), 7);
+  EXPECT_EQ(map.range_count(), 4u);
+}
+
+// One writer flips a range between two keys in place while readers query
+// it: every read must see one of the two keys, never a torn or default
+// value. Part of the ThreadSanitizer leg of scripts/check.sh vpkey.
+TEST(PageKeyMapTest, InPlaceRetagRacesReaders) {
+  PageKeyMap map;
+  constexpr PkeyId kKeyA = 3;
+  constexpr PkeyId kKeyB = 9;
+  ASSERT_TRUE(map.Tag(kBase, kPageSize, 1).ok());
+  ASSERT_TRUE(map.Tag(kBase + 2 * kPageSize, 4 * kPageSize, kKeyA).ok());
+  const uint64_t publishes = map.publish_count();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&map, &stop, &bad, r] {
+      while (!stop.load(std::memory_order_acquire)) {
+        const PkeyId key = map.KeyFor(kBase + 3 * kPageSize);
+        if (key != kKeyA && key != kKeyB) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (r == 0) {
+          const auto all = map.AllRanges();
+          if (all.size() != 2 || all[0].key != 1 ||
+              (all[1].key != kKeyA && all[1].key != kKeyB)) {
+            bad.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  bool tagged = true;
+  for (int i = 0; i < 20000 && tagged; ++i) {
+    // No ASSERT here: returning early would destroy the readers unjoined.
+    tagged = map.Tag(kBase + 2 * kPageSize, 4 * kPageSize, (i & 1) ? kKeyA : kKeyB).ok();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_TRUE(tagged);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(map.publish_count(), publishes);
+  EXPECT_EQ(map.KeyFor(kBase + 3 * kPageSize), kKeyA);
+}
+
 TEST(PageKeyMapTest, PartialOverlapRejected) {
   PageKeyMap map;
   ASSERT_TRUE(map.Tag(kBase, 2 * kPageSize, 1).ok());

@@ -64,8 +64,8 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelKind::kNbody, KernelKind::kRayTrace, KernelKind::kMandel,
                       KernelKind::kCodeLoad, KernelKind::kMachine, KernelKind::kDomChurn,
                       KernelKind::kDomQuery, KernelKind::kDomRead, KernelKind::kJslibMix),
-    [](const ::testing::TestParamInfo<KernelKind>& info) {
-      std::string name = KernelKindName(info.param);
+    [](const ::testing::TestParamInfo<KernelKind>& param) {
+      std::string name = KernelKindName(param.param);
       for (char& c : name) {
         if (c == '-') {
           c = '_';

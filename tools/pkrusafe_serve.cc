@@ -71,23 +71,24 @@ int main(int argc, char** argv) {
                  ? arg.c_str() + std::strlen(prefix)
                  : nullptr;
     };
-    if (const char* v = value_of("--port=")) {
+    const char* v = nullptr;
+    if ((v = value_of("--port=")) != nullptr) {
       port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value_of("--backend=")) {
+    } else if ((v = value_of("--backend=")) != nullptr) {
       backend = v;
-    } else if (const char* v = value_of("--workers=")) {
+    } else if ((v = value_of("--workers=")) != nullptr) {
       workers = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--idle-timeout-ms=")) {
+    } else if ((v = value_of("--idle-timeout-ms=")) != nullptr) {
       idle_timeout_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--sweep-interval-ms=")) {
+    } else if ((v = value_of("--sweep-interval-ms=")) != nullptr) {
       sweep_interval_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--duration-ms=")) {
+    } else if ((v = value_of("--duration-ms=")) != nullptr) {
       duration_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--metrics=")) {
+    } else if ((v = value_of("--metrics=")) != nullptr) {
       metrics_path = v;
-    } else if (const char* v = value_of("--sample-ms=")) {
+    } else if ((v = value_of("--sample-ms=")) != nullptr) {
       sample_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--crash-dir=")) {
+    } else if ((v = value_of("--crash-dir=")) != nullptr) {
       crash_dir = v;
     } else if (arg == "--enable-vulnerability") {
       enable_vulnerability = true;
